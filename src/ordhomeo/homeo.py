@@ -18,11 +18,14 @@ so no order isomorphism exists even when the labels agree.
 Fixed-point sets are computed exactly, as finite unions of closed
 intervals plus an unbounded tail, via the absorption law
 a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
+
+`compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, DomainError, ParseError, ValidationError
@@ -156,6 +159,8 @@ def _piece_map(src: ClopenInterval, tgt: ClopenInterval, x: Ordinal) -> Ordinal:
 def _map_sub(src: ClopenInterval, tgt: ClopenInterval,
              sub: ClopenInterval) -> ClopenInterval:
     """Image of a subinterval sub of src under the piece isomorphism."""
+    if sub == src:
+        return tgt
     hi2 = _piece_map(src, tgt, sub.hi)
     if sub.lo is None or (src.lo is not None and sub.lo == src.lo):
         # sub reaches to the bottom of src
@@ -196,17 +201,18 @@ def identity() -> PwHomeo:
     return IDENTITY
 
 
-def _src_key(p: Piece):
-    return (0, ZERO) if p.source.is_initial else (1, p.source.lo)
+def _start_key(iv: ClopenInterval):
+    """Orders intervals by their left end, [0, hi] first."""
+    return (0, ZERO) if iv.is_initial else (1, iv.lo)
 
 
-def _tgt_key(p: Piece):
-    return (0, ZERO) if p.target.is_initial else (1, p.target.lo)
+# On a tiling, the order of right ends is the order of left ends.
+_source_hi = attrgetter("source.hi")
 
 
-def _check_tiling(pieces: Sequence[Piece], side: str, key) -> Ordinal:
+def _check_tiling(pieces: Sequence[Piece], side: str) -> Ordinal:
     """Intervals on one side must tile [0, beta]; returns beta."""
-    ivs = [(p.source if side == "source" else p.target, p) for p in sorted(pieces, key=key)]
+    ivs = sorted(((getattr(p, side), p) for p in pieces), key=lambda e: _start_key(e[0]))
     first_iv, first_p = ivs[0]
     if not first_iv.is_initial:
         raise ValidationError(
@@ -233,8 +239,8 @@ def build(pieces: Iterable[Piece | tuple[ClopenInterval, ClopenInterval]]) -> Pw
                 f"{format_ordinal(order_type_label(p.target))}) in piece: {_format_piece(p)}")
     if not ps:
         return IDENTITY
-    beta_src = _check_tiling(ps, "source", _src_key)
-    beta_tgt = _check_tiling(ps, "target", _tgt_key)
+    beta_src = _check_tiling(ps, "source")
+    beta_tgt = _check_tiling(ps, "target")
     if beta_src != beta_tgt:
         raise ValidationError(
             f"sources end at {format_ordinal(beta_src)} but targets end at {format_ordinal(beta_tgt)}")
@@ -264,7 +270,7 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
     the identity suffix.  Blocked merges (a finite mixed head absorbed
     into an infinite run) are re-split at the least admissible point, so
     extensionally equal maps reach identical piece lists."""
-    ps = sorted(pieces, key=_src_key)
+    ps = sorted(pieces, key=_source_hi)
     out: list[Piece] = []
     block = ps[0]
     for q in ps[1:]:
@@ -296,44 +302,49 @@ def canonicalize(g: PwHomeo) -> PwHomeo:
     return _canonical(g.pieces)
 
 
-def apply(g: PwHomeo, x: Ordinal) -> Ordinal:
-    """g(x); the identity beyond the support.  Preserves rank."""
+def _piece_containing(g: PwHomeo, x: Ordinal) -> Optional[Piece]:
     for p in g.pieces:
         if p.source.contains(x):
-            return _piece_map(p.source, p.target, x)
-    return x
+            return p
+    return None
+
+
+def apply(g: PwHomeo, x: Ordinal) -> Ordinal:
+    """g(x); the identity beyond the support.  Preserves rank."""
+    p = _piece_containing(g, x)
+    return x if p is None else _piece_map(p.source, p.target, x)
 
 
 def _extended_pieces(g: PwHomeo, beta: Ordinal) -> list[Piece]:
-    """g's pieces padded with identity pieces to tile [0, beta]."""
-    ps = list(g.pieces)
-    if not ps:
-        iv = initial(beta)
-        return [Piece(iv, iv)]
-    if g.support < beta:
-        iv = span(g.support, beta)
-        ps.append(Piece(iv, iv))
-    return ps
+    """g's pieces (g not the identity) padded to tile [0, beta]."""
+    if g.support == beta:
+        return list(g.pieces)
+    iv = span(g.support, beta)
+    return [*g.pieces, Piece(iv, iv)]
 
 
 def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
-    """The map x -> g(h(x))."""
+    """The map x -> g(h(x)), by one sweep over h's targets and g's sources."""
     if g.is_identity:
         return h
     if h.is_identity:
         return g
     beta = max(g.support, h.support)
-    hp = _extended_pieces(h, beta)
+    hp = sorted(_extended_pieces(h, beta), key=attrgetter("target.hi"))
     gp = _extended_pieces(g, beta)
     out = []
-    for p in hp:
-        for q in gp:
-            overlap = interval_intersect(p.target, q.source)
-            if overlap is None:
-                continue
+    i = j = 0
+    while i < len(hp) and j < len(gp):
+        p, q = hp[i], gp[j]
+        overlap = interval_intersect(p.target, q.source)
+        if overlap is not None:
             src = _map_sub(p.target, p.source, overlap)
             tgt = _map_sub(q.source, q.target, overlap)
             out.append(Piece(src, tgt))
+        if p.target.hi <= q.source.hi:
+            i += 1
+        if q.source.hi <= p.target.hi:
+            j += 1
     return _canonical(out)
 
 
@@ -364,12 +375,10 @@ def interval_swap(i: ClopenInterval, j: ClopenInterval) -> PwHomeo:
     if order_type_label(i) != order_type_label(j) or not _compatible(i, j):
         raise DomainError(
             f"order type mismatch: {format_interval(i)} vs {format_interval(j)}")
-    lower, upper = sorted([i, j], key=lambda iv: (0, ZERO) if iv.is_initial else (1, iv.lo))
+    lower, upper = sorted([i, j], key=_start_key)
     pieces = [Piece(i, j), Piece(j, i)]
-    if not lower.is_initial and lower.lo > ZERO:
+    if not lower.is_initial:
         pieces.append(Piece(initial(lower.lo), initial(lower.lo)))
-    elif not lower.is_initial:
-        pieces.append(Piece(initial(ZERO), initial(ZERO)))
     if lower.hi < upper.lo:
         gap = span(lower.hi, upper.lo)
         pieces.append(Piece(gap, gap))
@@ -439,21 +448,19 @@ class OrdinalSet:
         return not self.intervals and self.tail_from is None
 
     def intersect(self, other: "OrdinalSet") -> "OrdinalSet":
+        a, b = self.intervals, other.intervals
         parts: list[tuple[Ordinal, Ordinal]] = []
-        for lo1, hi1 in self.intervals:
-            for lo2, hi2 in other.intervals:
-                lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if lo <= hi:
-                    parts.append((lo, hi))
-            if other.tail_from is not None:
-                lo = max(lo1, other.tail_from + ONE)
-                if lo <= hi1:
-                    parts.append((lo, hi1))
-        if self.tail_from is not None:
-            for lo2, hi2 in other.intervals:
-                lo = max(lo2, self.tail_from + ONE)
-                if lo <= hi2:
-                    parts.append((lo, hi2))
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (lo1, hi1), (lo2, hi2) = a[i], b[j]
+            parts.append((max(lo1, lo2), min(hi1, hi2)))  # from_parts drops empty ones
+            if hi1 <= hi2:
+                i += 1
+            else:
+                j += 1
+        for ivs, t in ((a, other.tail_from), (b, self.tail_from)):
+            if t is not None:
+                parts += [(max(lo, t + ONE), hi) for lo, hi in ivs]
         tail = None
         if self.tail_from is not None and other.tail_from is not None:
             tail = max(self.tail_from, other.tail_from)
@@ -559,13 +566,6 @@ def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
             continue
         best = max(best, cand)
     return best
-
-
-def _piece_containing(g: PwHomeo, x: Ordinal) -> Optional[Piece]:
-    for p in g.pieces:
-        if p.source.contains(x):
-            return p
-    return None
 
 
 def _piece_local_fix(p: Piece) -> Optional[Ordinal]:

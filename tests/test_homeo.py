@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ordhomeo import homeo
 from ordhomeo.errors import DomainError, ValidationError
 from ordhomeo.homeo import (
     IDENTITY,
@@ -592,3 +593,129 @@ class TestTextFormat:
     def test_interval_format(self):
         assert format_interval(initial(OMEGA)) == "[0, w]"
         assert format_interval(span(OMEGA, o("w*2"))) == "(w, w*2]"
+
+
+# ---------------------------------------------------------------------------
+# the piece algebra against the quadratic bodies it replaced, kept here
+# as references
+
+
+def extended_pieces_ref(g: PwHomeo, beta: Ordinal) -> list[Piece]:
+    ps = list(g.pieces)
+    if not ps:
+        iv = initial(beta)
+        return [Piece(iv, iv)]
+    if g.support < beta:
+        iv = span(g.support, beta)
+        ps.append(Piece(iv, iv))
+    return ps
+
+
+def compose_ref(g: PwHomeo, h: PwHomeo) -> PwHomeo:
+    """Intersects every target of h with every source of g."""
+    if g.is_identity:
+        return h
+    if h.is_identity:
+        return g
+    beta = max(g.support, h.support)
+    out = []
+    for p in extended_pieces_ref(h, beta):
+        for q in extended_pieces_ref(g, beta):
+            overlap = homeo.interval_intersect(p.target, q.source)
+            if overlap is None:
+                continue
+            src = homeo._map_sub(p.target, p.source, overlap)
+            tgt = homeo._map_sub(q.source, q.target, overlap)
+            out.append(Piece(src, tgt))
+    return homeo._canonical(out)
+
+
+def intersect_ref(s: OrdinalSet, t: OrdinalSet) -> OrdinalSet:
+    """Intersects every interval of s with every interval of t."""
+    parts = []
+    for lo1, hi1 in s.intervals:
+        for lo2, hi2 in t.intervals:
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo <= hi:
+                parts.append((lo, hi))
+        if t.tail_from is not None:
+            lo = max(lo1, t.tail_from + ONE)
+            if lo <= hi1:
+                parts.append((lo, hi1))
+    if s.tail_from is not None:
+        for lo2, hi2 in t.intervals:
+            lo = max(lo2, s.tail_from + ONE)
+            if lo <= hi2:
+                parts.append((lo, hi2))
+    tail = None
+    if s.tail_from is not None and t.tail_from is not None:
+        tail = max(s.tail_from, t.tail_from)
+    return OrdinalSet.from_parts(parts, tail)
+
+
+def disjoint_swaps(rng: random.Random, n_blocks: int, unit: Ordinal,
+                   offset: Ordinal = ZERO) -> PwHomeo:
+    """The product of interval_swaps pairing off the blocks
+    ]offset + unit*k, offset + unit*(k + 1)], k < n_blocks, at random.
+    The swaps are disjoint, so they commute and the product is built
+    from their pieces directly."""
+    blocks = [span(offset + unit * k, offset + unit * (k + 1)) for k in range(n_blocks)]
+    order = rng.sample(range(n_blocks), n_blocks)
+    pieces = [(initial(offset), initial(offset))]
+    for a, b in zip(order[::2], order[1::2]):
+        pieces += [(blocks[a], blocks[b]), (blocks[b], blocks[a])]
+    if n_blocks % 2:
+        pieces.append((blocks[order[-1]], blocks[order[-1]]))
+    return build(pieces)
+
+
+def large_map_pairs(rng: random.Random):
+    """Pairs of maps of a few hundred pieces whose composition splits
+    pieces: w-blocks against w*2-blocks offset by w, and against single
+    points below w."""
+    w_blocks = disjoint_swaps(rng, 240, OMEGA)
+    yield w_blocks, disjoint_swaps(rng, 160, o("w*2"), OMEGA)
+    yield disjoint_swaps(rng, 200, ONE), w_blocks
+    yield disjoint_swaps(rng, 300, ONE), disjoint_swaps(rng, 280, ONE, Ordinal(7))
+
+
+class TestLinearPieceAlgebra:
+    def test_compose_matches_reference_on_random_maps(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            g, h = random_homeo(rng, max_moves=6), random_homeo(rng, max_moves=6)
+            assert compose(g, h).pieces == compose_ref(g, h).pieces
+            assert compose(h, g).pieces == compose_ref(h, g).pieces
+
+    def test_compose_matches_reference_on_large_maps(self):
+        for g, h in large_map_pairs(random.Random(32)):
+            assert len(g.pieces) >= 150 and len(h.pieces) >= 150
+            gh = compose(g, h)
+            assert gh.pieces == compose_ref(g, h).pieces
+            assert compose(h, g).pieces == compose_ref(h, g).pieces
+            assert compose(inverse(h), inverse(g)) == inverse(gh)
+
+    def test_compose_intersects_linearly(self, monkeypatch):
+        g, h = next(large_map_pairs(random.Random(33)))
+        calls = 0
+        counted = homeo.interval_intersect
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return counted(a, b)
+
+        monkeypatch.setattr(homeo, "interval_intersect", counting)
+        compose(g, h)
+        # the padded piece lists hold at most len + len + 1 pieces, and
+        # every step of the sweep moves past at least one of them
+        assert 0 < calls <= len(g.pieces) + len(h.pieces)
+
+    def test_intersect_matches_reference(self):
+        rng = random.Random(34)
+        sets = [fixed_points(random_homeo(rng, max_moves=6)) for _ in range(20)]
+        sets += [fixed_points(g) for pair in large_map_pairs(rng) for g in pair]
+        sets += [OrdinalSet.from_parts(s.intervals, None) for s in sets]
+        for s in sets:
+            for t in rng.sample(sets, 12):
+                assert s.intersect(t) == intersect_ref(s, t)
