@@ -48,17 +48,9 @@ from .ordinals import (
 
 def fresh_point(r: Ordinal, seq: int, floor: Ordinal) -> Ordinal:
     """A rank-r point above floor, distinct across seq values."""
-    level = omega_pow(r + ONE)
-    keep = tuple(t for t in floor.terms if t[0] > r + ONE)
-    m = 0
-    for e, c in floor.terms:
-        if e == r + ONE:
-            m = c
-            break
-    prefix = Ordinal(0)
-    for e, c in keep:
-        prefix = prefix + omega_pow(e) * c
-    return prefix + level * (m + 1) + omega_pow(r) * (seq + 1)
+    level = r + ONE
+    prefix = sum((omega_pow(e) * c for e, c in floor.terms if e >= level), ZERO)
+    return prefix + omega_pow(level) + omega_pow(r) * (seq + 1)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,14 @@
 
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with strictly
 decreasing exponents (themselves ordinals) and positive integer
-coefficients; the empty sum is 0.  The representation is canonical, so
-structural equality is value equality.  All values are immutable and
+coefficients; the empty sum is 0.  An `Ordinal` stores that sum as one
+nested tuple, its key: () for 0, otherwise the pairs
+(key of ei, ci) in CNF order.  Python's tuple order on keys is exactly
+the ordinal order (the larger leading exponent wins, then the larger
+coefficient, then the rest, and a proper prefix is smaller), so
+comparison, equality and hashing are those of the key, and the
+arithmetic below works on keys directly.  The one constructor checks
+the CNF invariants in debug mode.  All values are immutable and
 hashable, and every operation here is pure.
 
 Points of an uncountable well-ordered segment are modelled by these
@@ -15,12 +21,15 @@ Conventions used throughout:
   * rank(x) is the exponent of the last CNF term (the Cantor-Bendixson
     rank of x as a point of a large enough segment); rank(0) = 0 since 0
     is isolated.
-  * a nesting-depth cap (default 32) guards `omega_pow` towers; blowing
-    it raises ResourceError rather than silently truncating.
+  * a nesting-depth cap (default 32) guards `omega_pow` towers and
+    parenthesis nesting in the parser; blowing it raises ResourceError
+    rather than silently truncating.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +37,22 @@ from .errors import DomainError, ParseError, ResourceError
 
 DEFAULT_DEPTH_CAP = 32
 
-_Terms = tuple  # tuple[tuple["Ordinal", int], ...]
+
+def _coerce(other):
+    """other as an Ordinal: ints convert, anything else is NotImplemented."""
+    if isinstance(other, Ordinal):
+        return other
+    if isinstance(other, int):
+        return Ordinal(other)
+    return NotImplemented
+
+
+def _by_key(op):
+    """A comparison dunder applying op to the two keys."""
+    def dunder(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else op(self._key, other._key)
+    return dunder
 
 
 class Ordinal:
@@ -36,7 +60,7 @@ class Ordinal:
     else comes out of the arithmetic below.  Supports +, *, comparisons,
     and hashing; ints coerce in mixed expressions."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_key",)
 
     def __new__(cls, value: int = 0) -> "Ordinal":
         if isinstance(value, Ordinal):
@@ -47,216 +71,162 @@ class Ordinal:
             raise DomainError("ordinals are non-negative")
         if value < len(_small):
             return _small[value]
-        return _make(((ZERO, value),))
+        return _make((((), value),))
 
     @property
-    def terms(self) -> _Terms:
-        return self._terms
+    def terms(self) -> tuple[tuple["Ordinal", int], ...]:
+        """The CNF terms as (exponent, coefficient) pairs, largest first."""
+        return tuple((_make(e), c) for e, c in self._key)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._key
 
     @property
     def is_finite(self) -> bool:
-        return not self._terms or self._terms[0][0].is_zero
+        return not self._key or not self._key[0][0]
 
     @property
     def leading_exponent(self) -> "Ordinal":
         """Exponent of the largest term; 0 for the ordinal 0."""
-        return self._terms[0][0] if self._terms else ZERO
+        return _make(self._key[0][0]) if self._key else ZERO
 
     def __int__(self) -> int:
         if not self.is_finite:
             raise DomainError(f"{self} is infinite")
-        return self._terms[0][1] if self._terms else 0
+        return self._key[0][1] if self._key else 0
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._key)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._terms)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._key)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Ordinal values are immutable")
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self is other or self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return _cmp(self, other) < 0
-
-    def __le__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return _cmp(self, other) <= 0
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return _cmp(self, other) > 0
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return _cmp(self, other) >= 0
+    __eq__ = _by_key(operator.eq)
+    __lt__ = _by_key(operator.lt)
+    __le__ = _by_key(operator.le)
+    __gt__ = _by_key(operator.gt)
+    __ge__ = _by_key(operator.ge)
 
     def __add__(self, other) -> "Ordinal":
-        if isinstance(other, int):
-            other = Ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return _add(self, other)
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else _make(_add(self._key, other._key))
 
     def __radd__(self, other) -> "Ordinal":
-        if isinstance(other, int):
-            return _add(Ordinal(other), self)
-        return NotImplemented
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else _make(_add(other._key, self._key))
 
     def __mul__(self, other) -> "Ordinal":
-        if isinstance(other, int):
-            other = Ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return _mul(self, other)
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else _make(_mul(self._key, other._key))
 
     def __rmul__(self, other) -> "Ordinal":
-        if isinstance(other, int):
-            return _mul(Ordinal(other), self)
-        return NotImplemented
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else _make(_mul(other._key, self._key))
 
     def __repr__(self) -> str:
         return format_ordinal(self)
 
 
-def _make(terms: _Terms) -> Ordinal:
+def _make(key: tuple) -> Ordinal:
     o = object.__new__(Ordinal)
-    object.__setattr__(o, "_terms", terms)
-    object.__setattr__(o, "_hash", None)
+    object.__setattr__(o, "_key", key)
     if __debug__:
-        for (ea, ca), (eb, cb) in zip(terms, terms[1:]):
-            assert _cmp(ea, eb) > 0, "exponents must strictly decrease"
-        assert all(c >= 1 for _, c in terms), "coefficients must be positive"
+        assert all(s[0] > t[0] for s, t in zip(key, key[1:])), "exponents must strictly decrease"
+        assert all(c >= 1 for _, c in key), "coefficients must be positive"
     return o
 
 
-def _cmp(a: Ordinal, b: Ordinal) -> int:
-    if a is b:
-        return 0
-    for (ea, ca), (eb, cb) in zip(a._terms, b._terms):
-        k = _cmp(ea, eb)
-        if k:
-            return k
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a._terms) != len(b._terms):
-        return -1 if len(a._terms) < len(b._terms) else 1
-    return 0
-
-
-def _add(a: Ordinal, b: Ordinal) -> Ordinal:
-    if not b._terms:
-        return a
-    if not a._terms:
-        return b
-    e = b._terms[0][0]
+def _add(a: tuple, b: tuple) -> tuple:
+    """Key of a + b: the terms of a above b's leading exponent, then b,
+    with one merged term where the exponents meet."""
+    if not a or not b:
+        return a or b
+    e, c = b[0]
     i = 0
-    at = a._terms
-    while i < len(at) and _cmp(at[i][0], e) > 0:
+    while i < len(a) and a[i][0] > e:
         i += 1
-    if i < len(at) and _cmp(at[i][0], e) == 0:
-        merged = (e, at[i][1] + b._terms[0][1])
-        return _make(at[:i] + (merged,) + b._terms[1:])
-    return _make(at[:i] + b._terms)
+    if i < len(a) and a[i][0] == e:
+        return a[:i] + ((e, a[i][1] + c),) + b[1:]
+    return a[:i] + b
 
 
-def _mul(a: Ordinal, b: Ordinal) -> Ordinal:
-    if not a._terms or not b._terms:
-        return ZERO
-    lead = a._terms[0][0]
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Key of a * b, distributing over the terms of b."""
+    if not a or not b:
+        return ()
+    lead, lead_c = a[0]
     out = []
-    for e, c in b._terms:
-        if e._terms:
+    for e, c in b:
+        if e:
             out.append((_add(lead, e), c))
         else:
             # finite factor distributes into a's leading coefficient
-            out.append((lead, a._terms[0][1] * c))
-            out.extend(a._terms[1:])
-    return _make(tuple(out))
+            out.append((lead, lead_c * c))
+            out.extend(a[1:])
+    return tuple(out)
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    """Number of leading terms two keys share."""
+    i = 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    return i
+
+
+def _drop_last(key: tuple) -> tuple:
+    """A nonzero key minus one copy of its last term."""
+    e, c = key[-1]
+    return key[:-1] + (((e, c - 1),) if c > 1 else ())
 
 
 ZERO = _make(())
-_small = [ZERO] + [_make(((ZERO, n),)) for n in range(1, 65)]
+_small = [ZERO] + [_make((((), n),)) for n in range(1, 65)]
 ONE = _small[1]
-OMEGA = _make(((ONE, 1),))
+OMEGA = _make(((ONE._key, 1),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> str:
     """Total order as a three-way token: "LT", "EQ", or "GT"."""
-    k = _cmp(a, b)
-    return "LT" if k < 0 else "GT" if k > 0 else "EQ"
+    return "LT" if a._key < b._key else "GT" if a._key > b._key else "EQ"
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique xi with a + xi = b, defined for a <= b."""
-    if a > b:
+    at, bt = a._key, b._key
+    if at > bt:
         raise DomainError(f"left_subtract: {a} > {b}")
-    at, bt = a._terms, b._terms
-    i = 0
-    while i < len(at) and i < len(bt) and at[i] == bt[i]:
-        i += 1
-    if i == len(at):
-        return _make(bt[i:])
-    ea, ca = at[i]
-    eb, cb = bt[i]
-    if ea == eb:
-        return _make(((ea, cb - ca),) + bt[i + 1:])
+    i = _common_prefix(at, bt)
+    if i < len(at) and at[i][0] == bt[i][0]:
+        return _make(((bt[i][0], bt[i][1] - at[i][1]),) + bt[i + 1:])
     return _make(bt[i:])
+
+
+def _depth(key: tuple) -> int:
+    return 1 + max(_depth(e) for e, _ in key) if key else 0
 
 
 def nesting_depth(x: Ordinal) -> int:
     """Height of the exponent tower: 0 for 0, 1 for finite values,
     1 + max exponent depth otherwise."""
-    if not x._terms:
-        return 0
-    return 1 + max(nesting_depth(e) for e, _ in x._terms)
+    return _depth(x._key)
 
 
 def omega_pow(e: Ordinal, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ordinal:
     """w raised to the ordinal e, as a single CNF term."""
-    e = Ordinal(e) if isinstance(e, int) else e
+    e = Ordinal(e)
     if 1 + nesting_depth(e) > depth_cap:
         raise ResourceError(f"exponent tower deeper than {depth_cap}")
-    return _make(((e, 1),))
+    return _make(((e._key, 1),))
 
 
 def rank(x: Ordinal) -> Ordinal:
     """Exponent of the last CNF term; rank(0) = 0 (0 is isolated)."""
-    if not x._terms:
-        return ZERO
-    return x._terms[-1][0]
+    return _make(x._key[-1][0]) if x._key else ZERO
 
 
 @dataclass(frozen=True)
@@ -266,49 +236,33 @@ class PointClass:
 
 
 def classify(x: Ordinal) -> PointClass:
-    if not x._terms:
+    if not x._key:
         return PointClass("zero")
-    e, c = x._terms[-1]
-    if e.is_zero:
-        if c == 1:
-            pred = _make(x._terms[:-1])
-        else:
-            pred = _make(x._terms[:-1] + ((e, c - 1),))
-        return PointClass("successor", pred)
-    return PointClass("limit")
+    if x._key[-1][0]:
+        return PointClass("limit")
+    return PointClass("successor", _make(_drop_last(x._key)))
 
 
 def absorb_threshold(a: Ordinal) -> Ordinal:
     """Least s with a + s = s, for a > 0 (every s with a larger leading
     exponent absorbs a).  Returns 1 for a = 0; callers wanting "any s"
     must treat 0 specially."""
-    if not a._terms:
+    if not a._key:
         return ONE
-    return omega_pow(_add(a.leading_exponent, ONE))
+    return omega_pow(a.leading_exponent + ONE)
 
 
 def diff_exponent(a: Ordinal, b: Ordinal) -> Optional[Ordinal]:
     """Largest exponent whose coefficient differs between the CNFs of a
     and b; None iff a = b.  Drives the fixed-point solver through
     a + s = b + s  iff  s >= w^(diff_exponent(a, b) + 1)."""
-    at, bt = a._terms, b._terms
-    i = 0
-    while i < len(at) and i < len(bt) and at[i] == bt[i]:
-        i += 1
-    if i == len(at) and i == len(bt):
-        return None
-    if i == len(at):
-        return bt[i][0]
-    if i == len(bt):
-        return at[i][0]
-    ea, eb = at[i][0], bt[i][0]
-    return ea if _cmp(ea, eb) >= 0 else eb
+    i = _common_prefix(a._key, b._key)
+    heads = [k[i][0] for k in (a._key, b._key) if i < len(k)]
+    return _make(max(heads)) if heads else None
 
 
 def in_derived(x: Ordinal, alpha: Ordinal) -> bool:
     """Whether x survives alpha rounds of removing isolated points."""
-    if not x._terms:
-        return alpha.is_zero
     return rank(x) >= alpha
 
 
@@ -318,14 +272,13 @@ def enumerate_level(alpha: Ordinal, lo: Ordinal, hi: Ordinal,
     in increasing order."""
     if lo > hi:
         raise DomainError(f"enumerate_level: empty range ]{lo}, {hi}]")
-    step = omega_pow(alpha)
+    step = omega_pow(alpha)._key
     # least rank-alpha point above lo: drop the terms below alpha, then
     # bump by one copy of w^alpha
-    kept = tuple(t for t in lo._terms if _cmp(t[0], alpha) >= 0)
-    t = _add(_make(kept), step)
+    t = _add(tuple(s for s in lo._key if s[0] >= alpha._key), step)
     out: list[Ordinal] = []
-    while len(out) < max_count and t <= hi:
-        out.append(t)
+    while len(out) < max_count and t <= hi._key:
+        out.append(_make(t))
         t = _add(t, step)
     return out
 
@@ -333,18 +286,15 @@ def enumerate_level(alpha: Ordinal, lo: Ordinal, hi: Ordinal,
 def isolating_left_endpoint(y: Ordinal) -> Ordinal:
     """An x' < y such that every point of ]x', y[ has rank below
     rank(y): y minus one copy of its last term."""
-    if not y._terms:
+    if not y._key:
         raise DomainError("0 has no left neighbourhood")
-    e, c = y._terms[-1]
-    if c == 1:
-        return _make(y._terms[:-1])
-    return _make(y._terms[:-1] + ((e, c - 1),))
+    return _make(_drop_last(y._key))
 
 
 def cb_rank_segment(beta: Ordinal) -> Ordinal:
     """First alpha at which iterated isolated-point removal empties the
     segment [0, beta]: leading exponent plus one."""
-    return _add(beta.leading_exponent, ONE)
+    return beta.leading_exponent + ONE
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +302,15 @@ def cb_rank_segment(beta: Ordinal) -> Ordinal:
 #
 #   expr   := term ( '+' term )*
 #   term   := factor ( '*' nat )?
-#   factor := 'w' ( '^' factor | '^' '(' expr ')' )? | nat | '(' expr ')'
+#   factor := 'w' ( '^' factor )? | nat | group
+#   group  := '(' expr ')'
 #
 # Whitespace is insignificant.  Evaluation is left-associative with
 # ordinal semantics; the formatter emits canonical CNF in the same
-# grammar, e.g.  "w^(w)*2 + w^2 + 3".
+# grammar, e.g.  "w^(w)*2 + w^2 + 3".  The depth cap bounds `w^` and
+# group nesting separately, so at the default cap no input exhausts the
+# Python stack; past CPython's limit on int/str digits, parse and format
+# raise ResourceError.
 
 
 class _Parser:
@@ -364,6 +318,8 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth_cap = depth_cap
+        self.towers = 0
+        self.groups = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos + 1)
@@ -384,17 +340,22 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal: exactly the digits int() accepts
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            raise ResourceError(f"number longer than {sys.get_int_max_str_digits()}"
+                                f" digits (position {start + 1})") from None
 
     def expr(self) -> Ordinal:
         value = self.term()
         while self.peek() == "+":
             self.take("+")
-            value = _add(value, self.term())
+            value = value + self.term()
         return value
 
     def term(self) -> Ordinal:
@@ -405,31 +366,38 @@ class _Parser:
             n = self.nat()
             if n == 0:
                 raise DomainError(f"zero coefficient (position {at + 1})")
-            value = _mul(value, Ordinal(n))
+            value = value * n
         return value
 
     def factor(self) -> Ordinal:
         c = self.peek()
         if c == "w":
             self.pos += 1
-            if self.peek() == "^":
-                self.take("^")
-                if self.peek() == "(":
-                    self.take("(")
-                    e = self.expr()
-                    self.take(")")
-                else:
-                    e = self.factor()
-                return omega_pow(e, self.depth_cap)
-            return OMEGA
+            if self.peek() != "^":
+                return OMEGA
+            self.take("^")
+            self.towers += 1
+            if self.towers > self.depth_cap:
+                # w^ nesting bounds the value's tower height from below
+                raise ResourceError(f"exponent tower deeper than {self.depth_cap}")
+            e = self.factor()
+            self.towers -= 1
+            return omega_pow(e, self.depth_cap)
         if c == "(":
-            self.take("(")
-            value = self.expr()
-            self.take(")")
-            return value
-        if c.isdigit():
+            return self.group()
+        if c.isdecimal():
             return Ordinal(self.nat())
         raise self.error("expected 'w', a number, or '('")
+
+    def group(self) -> Ordinal:
+        self.take("(")
+        self.groups += 1
+        if self.groups > self.depth_cap:
+            raise ResourceError(f"parentheses nested deeper than {self.depth_cap}")
+        value = self.expr()
+        self.take(")")
+        self.groups -= 1
+        return value
 
 
 def parse_ordinal(text: str, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ordinal:
@@ -441,20 +409,27 @@ def parse_ordinal(text: str, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ordinal:
     return value
 
 
-def format_ordinal(x: Ordinal, unicode: bool = False) -> str:
-    w = "ω" if unicode else "w"
-    if not x._terms:
+def _format(key: tuple, w: str) -> str:
+    if not key:
         return "0"
     parts = []
-    for e, c in x._terms:
-        if e.is_zero:
+    for e, c in key:
+        if not e:
             parts.append(str(c))
             continue
-        if e == ONE:
+        if e == ONE._key:
             base = w
-        elif e.is_finite:
-            base = f"{w}^{int(e)}"
+        elif not e[0][0]:
+            base = f"{w}^{e[0][1]}"
         else:
-            base = f"{w}^({format_ordinal(e, unicode)})"
+            base = f"{w}^({_format(e, w)})"
         parts.append(base if c == 1 else f"{base}*{c}")
     return " + ".join(parts)
+
+
+def format_ordinal(x: Ordinal, unicode: bool = False) -> str:
+    try:
+        return _format(x._key, "ω" if unicode else "w")
+    except ValueError:  # only int-to-str conversion raises it here
+        raise ResourceError(f"coefficient longer than {sys.get_int_max_str_digits()}"
+                            " digits") from None

@@ -106,3 +106,16 @@ def test_missing_file(monkeypatch, capsys):
 def test_resource_error_exit_code():
     code, out = run_cli(["ord", "eval", "w^" * 40 + "w"])
     assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("expr,exit_code", [
+    pytest.param("(" * 3000 + "1" + ")" * 3000, 3, id="3000-nested-parentheses"),
+    pytest.param("w^" * 3000 + "w", 3, id="3000-level-tower"),
+    pytest.param("9" * 5000, 3, id="5000-digit-literal"),
+    pytest.param(f"(({'9' * 3000})*{'9' * 3000})", 3, id="coefficient-past-digit-limit"),
+    pytest.param("w*\u00b2", 2, id="superscript-digit"),
+])
+def test_hostile_input_ends_in_one_line(expr, exit_code, capsys):
+    assert run_cli(["ord", "eval", expr]) == (exit_code, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(("resource error:", "parse error:"))

@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -80,6 +81,9 @@ class TestParseFormat:
         with pytest.raises(ResourceError):
             parse_ordinal(deep)
         assert parse_ordinal("w^" * 8 + "w", depth_cap=32)
+        assert parse_ordinal("(" * 32 + "1" + ")" * 32) == ONE
+        with pytest.raises(ResourceError):
+            parse_ordinal("(" * 33 + "1" + ")" * 33)
 
     def test_unicode_display(self):
         assert format_ordinal(o("w*2 + 1"), unicode=True) == "ω*2 + 1"
@@ -321,3 +325,151 @@ class TestParserFuzz:
             except (ParseError, DomainError, ResourceError):
                 continue
             assert parse_ordinal(format_ordinal(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# The seed kernel's recursive comparison and arithmetic, kept as reference
+# bodies for the key kernel.  A reference value is a tuple of
+# (exponent, coefficient) terms in CNF order, each exponent again such a
+# tuple; its order comes from ref_cmp alone, never from Python's tuple
+# order.
+
+
+def ref(x):
+    return tuple((ref(e), c) for e, c in x.terms)
+
+
+def ref_cmp(a, b):
+    for (ea, ca), (eb, cb) in zip(a, b):
+        k = ref_cmp(ea, eb)
+        if k:
+            return k
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a) != len(b):
+        return -1 if len(a) < len(b) else 1
+    return 0
+
+
+def ref_add(a, b):
+    if not b:
+        return a
+    if not a:
+        return b
+    e = b[0][0]
+    i = 0
+    while i < len(a) and ref_cmp(a[i][0], e) > 0:
+        i += 1
+    if i < len(a) and ref_cmp(a[i][0], e) == 0:
+        return a[:i] + ((e, a[i][1] + b[0][1]),) + b[1:]
+    return a[:i] + b
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    lead = a[0][0]
+    out = []
+    for e, c in b:
+        if e:
+            out.append((ref_add(lead, e), c))
+        else:
+            out.append((lead, a[0][1] * c))
+            out.extend(a[1:])
+    return tuple(out)
+
+
+def ref_common_prefix(a, b):
+    i = 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    return i
+
+
+def ref_left_subtract(a, b):
+    i = ref_common_prefix(a, b)
+    if i == len(a):
+        return b[i:]
+    (ea, ca), (eb, cb) = a[i], b[i]
+    if ref_cmp(ea, eb) == 0:
+        return ((ea, cb - ca),) + b[i + 1:]
+    return b[i:]
+
+
+def ref_diff_exponent(a, b):
+    i = ref_common_prefix(a, b)
+    if i == len(a) and i == len(b):
+        return None
+    if i == len(a):
+        return b[i][0]
+    if i == len(b):
+        return a[i][0]
+    ea, eb = a[i][0], b[i][0]
+    return ea if ref_cmp(ea, eb) >= 0 else eb
+
+
+def random_tower(rng, height):
+    """A few terms w^e*c, e a random tower of height - 1, largest first,
+    followed by random_ordinal(rng)."""
+    value = ZERO
+    if height:
+        exps = [random_tower(rng, height - 1) for _ in range(rng.randint(0, 3))]
+        for e in sorted(exps, reverse=True):
+            value = value + omega_pow(e) * rng.randint(1, 9)
+    return value + random_ordinal(rng)
+
+
+class TestKeyKernel:
+    def values(self, seed, n):
+        rng = random.Random(seed)
+        return [random_tower(rng, rng.randint(0, 3)) for _ in range(n)]
+
+    def test_order_matches_reference(self):
+        xs = self.values(60, 60)
+        # successors, and equal values held in distinct tuples
+        xs += [x + ONE for x in xs[:10]] + [parse_ordinal(format_ordinal(x)) for x in xs[:5]]
+        for a in xs:
+            for b in xs:
+                k = ref_cmp(ref(a), ref(b))
+                assert compare(a, b) == ("LT", "EQ", "GT")[k + 1]
+                assert (a < b, a <= b, a == b, a != b, a > b, a >= b) == (
+                    k < 0, k <= 0, k == 0, k != 0, k > 0, k >= 0)
+        assert [ref(x) for x in sorted(xs)] == sorted(map(ref, xs), key=cmp_to_key(ref_cmp))
+
+    def test_arithmetic_matches_reference(self):
+        xs = self.values(61, 40)
+        for a in xs:
+            for b in xs:
+                ra, rb = ref(a), ref(b)
+                assert ref(a + b) == ref_add(ra, rb)
+                assert ref(a * b) == ref_mul(ra, rb)
+                d = diff_exponent(a, b)
+                assert (None if d is None else ref(d)) == ref_diff_exponent(ra, rb)
+                if ref_cmp(ra, rb) <= 0:
+                    assert ref(left_subtract(a, b)) == ref_left_subtract(ra, rb)
+                else:
+                    with pytest.raises(DomainError):
+                        left_subtract(a, b)
+
+    def test_hash_follows_equality_and_terms_rebuild(self):
+        rng = random.Random(62)
+        xs = self.values(62, 40)
+        for x in xs:
+            rebuilt = sum((omega_pow(e) * c for e, c in x.terms), ZERO)
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+        equal = 0
+        for _ in range(300):
+            a, b, c = (rng.choice(xs) for _ in range(3))
+            for x, y in [((a + b) + c, a + (b + c)), (a * (b + c), a * b + a * c), (a, b)]:
+                if x == y:
+                    equal += 1
+                    assert hash(x) == hash(y)
+        assert equal >= 600
+
+    def test_constructor_checks_cnf(self):
+        # the CNF check runs in the one constructor under default flags
+        from ordhomeo.ordinals import _make
+        w = OMEGA._key
+        for key in [((w, 1), (w, 2)), (((), 1), (w, 1)), ((w, 0),), ((w, 1), ((), 0))]:
+            with pytest.raises(AssertionError):
+                _make(key)
