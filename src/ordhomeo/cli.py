@@ -3,7 +3,8 @@
 Four command groups: `ord` (calculator), `homeo` (piecewise-map
 toolbox), `dyn` (constructions), `sieve` (constraint systems).  Reports
 go to stdout, errors to stderr.  Exit codes: 0 success, 1 domain or
-precondition error, 2 parse error, 3 resource cap.
+precondition error, 2 parse error, 3 resource cap, 4 internal error
+(a broken invariant, reported in one line).
 
 Output is deterministic (no timestamps, stable ordering) and uses the
 same grammars the inputs do, so emitted ordinals, maps, and constraint
@@ -11,59 +12,16 @@ systems re-parse to themselves.  ASCII "w" denotes the first infinite
 ordinal everywhere; --unicode switches the display only.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from pathlib import Path
 
-from .dynamics import (
-    TransitivityProblem,
-    baire_density_witness,
-    dense_approx,
-    discontinuity_sequence,
-    in_baire_T,
-    make_transitive,
-    roelcke_decompose,
-)
-from .errors import DomainError, ParseError, ResourceError
-from .homeo import (
-    apply,
-    common_fixed_points,
-    compose,
-    find_fixed_point_above,
-    fixed_points,
-    format_homeo,
-    format_ordinal_set,
-    invariant_point,
-    invariant_prefix,
-    inverse,
-    order_of,
-    parse_homeo,
-)
-from .ordinals import (
-    Ordinal,
-    cb_rank_segment,
-    classify,
-    compare,
-    format_ordinal,
-    left_subtract,
-    parse_ordinal,
-    rank,
-)
-from .sieve import (
-    chain_limit,
-    contains,
-    extend_to_permutation,
-    format_constraints,
-    format_injection,
-    format_permutation,
-    hall_brute,
-    normalize,
-    parse_constraints,
-    parse_injection,
-    satisfiable,
-)
+from .errors import ContractError, DomainError, ParseError, ResourceError
+
+# Each runner imports its group's modules itself, so a command loads
+# only what it runs: `ord` never compiles `homeo`, `dynamics` or `sieve`.
+
+_DEMO_CAP = 10_000  # most terms `dyn demo-discontinuity` prints
 
 
 def _read(path: str) -> str:
@@ -74,10 +32,12 @@ def _read(path: str) -> str:
 
 
 def _load_homeo(path: str):
+    from .homeo import parse_homeo
     return parse_homeo(_read(path))
 
 
 def _load_constraints(path: str):
+    from .sieve import parse_constraints
     return parse_constraints(_read(path))
 
 
@@ -85,7 +45,10 @@ def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}")
+        limit = sys.get_int_max_str_digits()
+        if sum(ch.isdecimal() for ch in text) > limit:
+            raise ResourceError(f"integer argument longer than {limit} digits") from None
+        raise ParseError(f"expected an integer, got {text!r}") from None
     if n < 1:
         raise DomainError("expected a positive integer")
     return n
@@ -168,6 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_ord(args, out, uni: bool) -> None:
+    from .ordinals import (cb_rank_segment, classify, compare, format_ordinal,
+                           left_subtract, parse_ordinal, rank)
+
     if args.command == "eval":
         print(format_ordinal(parse_ordinal(args.expr), uni), file=out)
     elif args.command == "cmp":
@@ -188,6 +154,11 @@ def _run_ord(args, out, uni: bool) -> None:
 
 
 def _run_homeo(args, out, uni: bool) -> None:
+    from .homeo import (apply, common_fixed_points, compose, find_fixed_point_above,
+                        fixed_points, format_homeo, format_ordinal_set,
+                        invariant_point, invariant_prefix, inverse, order_of)
+    from .ordinals import format_ordinal, parse_ordinal
+
     if args.command == "check":
         print(format_homeo(_load_homeo(args.file), uni), end="", file=out)
     elif args.command == "apply":
@@ -221,7 +192,9 @@ def _run_homeo(args, out, uni: bool) -> None:
         print(format_ordinal(invariant_point(g, parse_ordinal(args.bound)), uni), file=out)
 
 
-def _parse_pair(text: str) -> tuple[Ordinal, Ordinal]:
+def _parse_pair(text: str):
+    from .ordinals import parse_ordinal
+
     if "->" not in text:
         raise ParseError(f"expected 'x -> y', got {text!r}")
     left, _, right = text.partition("->")
@@ -229,6 +202,12 @@ def _parse_pair(text: str) -> tuple[Ordinal, Ordinal]:
 
 
 def _run_dyn(args, out, uni: bool) -> None:
+    from .dynamics import (TransitivityProblem, baire_density_witness, dense_approx,
+                           discontinuity_sequence, in_baire_T, make_transitive,
+                           roelcke_decompose)
+    from .homeo import apply, format_homeo, invariant_point
+    from .ordinals import Ordinal, format_ordinal, parse_ordinal
+
     if args.command == "transitive":
         pairs = tuple(_parse_pair(p) for p in args.pairs)
         frozen = frozenset(parse_ordinal(f) for f in args.frozen)
@@ -266,12 +245,19 @@ def _run_dyn(args, out, uni: bool) -> None:
         h = baire_density_witness(g, _positive_int(args.n), constraints)
         print(format_homeo(h, uni), end="", file=out)
     elif args.command == "demo-discontinuity":
-        for n in range(1, _positive_int(args.n) + 1):
+        count = _positive_int(args.n)
+        if count > _DEMO_CAP:
+            raise ResourceError(f"demo-discontinuity limited to {_DEMO_CAP} terms")
+        for n in range(1, count + 1):
             g = discontinuity_sequence(n)
             print(f"{n} {format_ordinal(apply(g, Ordinal(n)), uni)}", file=out)
 
 
 def _run_sieve(args, out, uni: bool) -> None:
+    from .sieve import (chain_limit, contains, extend_to_permutation, format_constraints,
+                        format_injection, format_permutation, hall_brute, normalize,
+                        parse_injection, satisfiable)
+
     if args.command == "normalize":
         system = normalize(_load_constraints(args.file))
         print(format_constraints(system, uni), end="", file=out)
@@ -318,6 +304,9 @@ def main(argv=None, out=None) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except ContractError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 4
     return 0
 
 

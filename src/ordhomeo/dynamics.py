@@ -17,7 +17,7 @@ w^(r+1)*q + w^r*(seq+1), q minimal past the floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ContractError, DomainError
@@ -39,6 +39,8 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
+    _Record,
+    _set,
     format_ordinal,
     isolating_left_endpoint,
     omega_pow,
@@ -53,13 +55,16 @@ def fresh_point(r: Ordinal, seq: int, floor: Ordinal) -> Ordinal:
     return prefix + omega_pow(level) + omega_pow(r) * (seq + 1)
 
 
-@dataclass(frozen=True)
-class TransitivityProblem:
+class TransitivityProblem(_Record):
     """Send x_i to y_i (rank-matched, both sides duplicate-free) while
     fixing every frozen point."""
 
-    pairs: tuple[tuple[Ordinal, Ordinal], ...]
-    frozen: frozenset[Ordinal] = field(default_factory=frozenset)
+    __slots__ = ("pairs", "frozen")
+
+    def __init__(self, pairs: tuple[tuple[Ordinal, Ordinal], ...],
+                 frozen: frozenset[Ordinal] = frozenset()):
+        _set(self, "pairs", pairs)
+        _set(self, "frozen", frozen)
 
     def validate(self) -> None:
         if not self.pairs:
@@ -134,6 +139,7 @@ def make_transitive(problem: TransitivityProblem) -> PwHomeo:
     return acc
 
 
+# a dataclass, unlike the other records: bench/tests calls dataclasses.replace on it
 @dataclass(frozen=True)
 class RoelckeCertificate:
     """g = u . h . u_prime with u and u_prime fixing every marked point

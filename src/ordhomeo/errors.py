@@ -1,8 +1,9 @@
 """Exception hierarchy shared by the whole package.
 
 The CLI maps these onto exit codes: DomainError (and subclasses) -> 1,
-ParseError -> 2, ResourceError -> 3.  ContractError signals a broken
-internal invariant and is never caught.
+ParseError -> 2, ResourceError -> 3, ContractError -> 4.  ContractError
+signals a broken internal invariant, that is, a bug; the library never
+catches it, and the CLI reports it in one line.
 """
 
 

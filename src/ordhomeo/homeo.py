@@ -24,7 +24,6 @@ a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -34,6 +33,8 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
+    _Record,
+    _set,
     absorb_threshold,
     classify,
     diff_exponent,
@@ -51,17 +52,16 @@ _ITERATION_CAP = 1000
 # clopen intervals
 
 
-@dataclass(frozen=True)
-class ClopenInterval:
+class ClopenInterval(_Record):
     """[0, hi] when lo is None, else ]lo, hi]."""
 
-    lo: Optional[Ordinal]
-    hi: Ordinal
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo is not None and not self.lo < self.hi:
-            raise DomainError(
-                f"empty interval ({format_ordinal(self.lo)}, {format_ordinal(self.hi)}]")
+    def __init__(self, lo: Optional[Ordinal], hi: Ordinal):
+        if lo is not None and not lo < hi:
+            raise DomainError(f"empty interval ({format_ordinal(lo)}, {format_ordinal(hi)}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def is_initial(self) -> bool:
@@ -136,10 +136,12 @@ def interval_intersect(a: ClopenInterval, b: ClopenInterval) -> Optional[ClopenI
 # pieces
 
 
-@dataclass(frozen=True)
-class Piece:
-    source: ClopenInterval
-    target: ClopenInterval
+class Piece(_Record):
+    __slots__ = ("source", "target")
+
+    def __init__(self, source: ClopenInterval, target: ClopenInterval):
+        _set(self, "source", source)
+        _set(self, "target", target)
 
 
 def _compatible(src: ClopenInterval, tgt: ClopenInterval) -> bool:
@@ -177,14 +179,16 @@ def _format_piece(p: Piece, unicode: bool = False) -> str:
 # the maps
 
 
-@dataclass(frozen=True)
-class PwHomeo:
+class PwHomeo(_Record):
     """Canonical form: pieces sorted by source, no mergeable neighbours,
     no trailing identity piece.  Build one with `build` (or the factory
     helpers); the constructor trusts its input."""
 
-    pieces: tuple[Piece, ...]
-    support: Ordinal
+    __slots__ = ("pieces", "support")
+
+    def __init__(self, pieces: tuple[Piece, ...], support: Ordinal):
+        _set(self, "pieces", pieces)
+        _set(self, "support", support)
 
     @property
     def is_identity(self) -> bool:
@@ -405,14 +409,17 @@ def swap_points(x: Ordinal, y: Ordinal) -> PwHomeo:
 # symbolic sets of ordinals
 
 
-@dataclass(frozen=True)
-class OrdinalSet:
+class OrdinalSet(_Record):
     """Finite union of closed intervals [lo, hi] (points are degenerate
     intervals) plus an optional unbounded tail ]tail_from, oo[.
     Construct through from_parts, which normalizes."""
 
-    intervals: tuple[tuple[Ordinal, Ordinal], ...]
-    tail_from: Optional[Ordinal]
+    __slots__ = ("intervals", "tail_from")
+
+    def __init__(self, intervals: tuple[tuple[Ordinal, Ordinal], ...],
+                 tail_from: Optional[Ordinal]):
+        _set(self, "intervals", intervals)
+        _set(self, "tail_from", tail_from)
 
     @staticmethod
     def from_parts(parts: Iterable[tuple[Ordinal, Ordinal]],

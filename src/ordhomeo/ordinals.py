@@ -7,10 +7,15 @@ nested tuple, its key: () for 0, otherwise the pairs
 (key of ei, ci) in CNF order.  Python's tuple order on keys is exactly
 the ordinal order (the larger leading exponent wins, then the larger
 coefficient, then the rest, and a proper prefix is smaller), so
-comparison, equality and hashing are those of the key, and the
-arithmetic below works on keys directly.  The one constructor checks
-the CNF invariants in debug mode.  All values are immutable and
-hashable, and every operation here is pure.
+comparison and equality are those of the key (a finite value, equal to
+its int, also hashes as it), and the arithmetic below works on keys
+directly.  The one constructor checks the CNF invariants in debug mode.
+All values are immutable and hashable, and every operation here is pure.
+
+The package's records (`PointClass` here, most value types of `homeo`,
+`dynamics` and `sieve`) share the base `_Record`: immutable fields in
+`__slots__`, equality (same type only) and hashing by value, and a
+dataclass-style repr such as `ClopenInterval(lo=None, hi=w)`.
 
 Points of an uncountable well-ordered segment are modelled by these
 values: every construction in the package, run at desk scale, stays far
@@ -26,16 +31,19 @@ Conventions used throughout:
     rather than silently truncating.
 """
 
-from __future__ import annotations
-
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError, ParseError, ResourceError
 
 DEFAULT_DEPTH_CAP = 32
+
+
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} values are immutable")
+
+
+_set = object.__setattr__  # how __init__ methods assign to immutable slots
 
 
 def _coerce(other):
@@ -100,10 +108,11 @@ class Ordinal:
         return bool(self._key)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        # a finite value equals its int (0 included), so it hashes as it
+        key = self._key
+        return hash(key[0][1] if key and not key[0][0] else key or 0)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Ordinal values are immutable")
+    __setattr__ = __delattr__ = _immutable
 
     __eq__ = _by_key(operator.eq)
     __lt__ = _by_key(operator.lt)
@@ -133,7 +142,7 @@ class Ordinal:
 
 def _make(key: tuple) -> Ordinal:
     o = object.__new__(Ordinal)
-    object.__setattr__(o, "_key", key)
+    _set(o, "_key", key)
     if __debug__:
         assert all(s[0] > t[0] for s, t in zip(key, key[1:])), "exponents must strictly decrease"
         assert all(c >= 1 for _, c in key), "coefficients must be positive"
@@ -229,10 +238,37 @@ def rank(x: Ordinal) -> Ordinal:
     return _make(x._key[-1][0]) if x._key else ZERO
 
 
-@dataclass(frozen=True)
-class PointClass:
-    kind: str  # "zero" | "successor" | "limit"
-    predecessor: Optional[Ordinal] = None
+class _Record:
+    """Base of the immutable records: a subclass names its fields in
+    `__slots__` and sets them in `__init__` through `_set`."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PointClass(_Record):
+    """kind: "zero", "successor" or "limit"; predecessor: set for successors."""
+
+    __slots__ = ("kind", "predecessor")
+
+    def __init__(self, kind: str, predecessor: Ordinal | None = None):
+        _set(self, "kind", kind)
+        _set(self, "predecessor", predecessor)
 
 
 def classify(x: Ordinal) -> PointClass:
@@ -252,7 +288,7 @@ def absorb_threshold(a: Ordinal) -> Ordinal:
     return omega_pow(a.leading_exponent + ONE)
 
 
-def diff_exponent(a: Ordinal, b: Ordinal) -> Optional[Ordinal]:
+def diff_exponent(a: Ordinal, b: Ordinal) -> Ordinal | None:
     """Largest exponent whose coefficient differs between the CNFs of a
     and b; None iff a = b.  Drives the fixed-point solver through
     a + s = b + s  iff  s >= w^(diff_exponent(a, b) + 1)."""

@@ -12,21 +12,22 @@ injection to a finitely-supported permutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, DomainError, ParseError, ResourceError
-from .ordinals import Ordinal, format_ordinal, parse_ordinal
+from .ordinals import Ordinal, _Record, _set, format_ordinal, parse_ordinal
 
 _HALL_BRUTE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(_Record):
     """Pairs (point, allowed values).  `normalize` merges repeated
     points by intersecting their allowed sets."""
 
-    constraints: tuple[tuple[Ordinal, frozenset[Ordinal]], ...]
+    __slots__ = ("constraints",)
+
+    def __init__(self, constraints: tuple[tuple[Ordinal, frozenset[Ordinal]], ...]):
+        _set(self, "constraints", constraints)
 
     @staticmethod
     def of(items: Iterable[tuple[Ordinal, Iterable[Ordinal]]]) -> "ConstraintSystem":
@@ -40,11 +41,13 @@ class ConstraintSystem:
         return any(not vals for _, vals in self.constraints)
 
 
-@dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(_Record):
     """Finitely many pairs, injective in both coordinates."""
 
-    pairs: tuple[tuple[Ordinal, Ordinal], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[Ordinal, Ordinal], ...]):
+        _set(self, "pairs", pairs)
 
     def validate(self) -> None:
         froms = [a for a, _ in self.pairs]
@@ -160,13 +163,15 @@ def chain_limit(chain: Sequence[ConstraintSystem]) -> tuple[ConstraintSystem, Pa
     return limit, witness
 
 
-@dataclass(frozen=True)
-class FinitePermutation:
+class FinitePermutation(_Record):
     """A finitely-supported permutation of the ordinal ground set,
     stored as disjoint cycles (each rotated to start at its least
     element, listed by that element)."""
 
-    cycles: tuple[tuple[Ordinal, ...], ...]
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles: tuple[tuple[Ordinal, ...], ...]):
+        _set(self, "cycles", cycles)
 
     def apply(self, x: Ordinal) -> Ordinal:
         for cycle in self.cycles:

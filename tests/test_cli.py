@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from ordhomeo import cli
 from ordhomeo.cli import main
+from ordhomeo.errors import ContractError
 from ordhomeo.homeo import parse_homeo
 from ordhomeo.ordinals import format_ordinal, parse_ordinal
 
@@ -119,3 +121,26 @@ def test_hostile_input_ends_in_one_line(expr, exit_code, capsys):
     assert run_cli(["ord", "eval", expr]) == (exit_code, "")
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(("resource error:", "parse error:"))
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    pytest.param(["dyn", "baire-member", "id.hom", "9" * 5000], 3, id="5000-digit-argument"),
+    pytest.param(["dyn", "baire-member", "id.hom", "5x"], 2, id="not-an-integer"),
+    pytest.param(["dyn", "demo-discontinuity", str(cli._DEMO_CAP + 1)], 3,
+                 id="demo-discontinuity-past-cap"),
+])
+def test_integer_arguments_end_in_one_line(argv, exit_code, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    assert run_cli(argv) == (exit_code, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(("resource error:", "parse error:"))
+    assert "99999" not in err  # the message does not echo a long argument
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(args, out, uni):
+        raise ContractError("an invariant failed")
+
+    monkeypatch.setattr(cli, "_run_ord", broken)
+    assert run_cli(["ord", "eval", "1"]) == (4, "")
+    assert capsys.readouterr().err == "internal error: an invariant failed\n"

@@ -473,3 +473,21 @@ class TestKeyKernel:
         for key in [((w, 1), (w, 2)), (((), 1), (w, 1)), ((w, 0),), ((w, 1), ((), 0))]:
             with pytest.raises(AssertionError):
                 _make(key)
+
+
+@pytest.mark.parametrize("n", [0, 3, 10**30])
+def test_finite_ordinal_hashes_as_its_int(n):
+    # Ordinal(n) == n, so dicts and sets must treat the two as one key
+    x = Ordinal(n)
+    assert hash(x) == hash(n)
+    assert {n: "a"}[x] == "a" and {x: "a"}[n] == "a"
+    assert len({x, n}) == 1
+
+
+def test_ordinal_is_immutable():
+    x = parse_ordinal("w + 1")
+    with pytest.raises(AttributeError):
+        x._key = ()
+    with pytest.raises(AttributeError):
+        del x._key
+    assert x == OMEGA + ONE

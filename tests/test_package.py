@@ -1,0 +1,166 @@
+"""The package surface: lazy exports, what each CLI group loads, and the
+immutable value records."""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import ordhomeo
+from ordhomeo.dynamics import TransitivityProblem
+from ordhomeo.homeo import ClopenInterval, OrdinalSet, Piece, PwHomeo, initial, span
+from ordhomeo.ordinals import OMEGA, ONE, ZERO, PointClass, _set, parse_ordinal
+from ordhomeo.sieve import ConstraintSystem, FinitePermutation, PartialInjection
+
+DATA = Path(__file__).parent / "golden" / "data"
+SRC = Path(ordhomeo.__file__).resolve().parent.parent
+
+EXPORTS = {
+    "errors": ["ContractError", "DomainError", "OrdhomeoError", "ParseError",
+               "ResourceError", "ValidationError"],
+    "ordinals": ["OMEGA", "ONE", "ZERO", "Ordinal", "PointClass", "absorb_threshold",
+                 "cb_rank_segment", "classify", "compare", "diff_exponent",
+                 "enumerate_level", "format_ordinal", "in_derived",
+                 "isolating_left_endpoint", "left_subtract", "omega_pow", "parse_ordinal",
+                 "rank"],
+    "homeo": ["ClopenInterval", "OrdinalSet", "Piece", "PwHomeo", "apply", "build",
+              "canonicalize", "common_fixed_points", "compose", "enum_index",
+              "find_fixed_point_above", "fixed_points", "format_homeo", "format_interval",
+              "format_ordinal_set", "identity", "index_of", "initial", "interval_swap",
+              "invariant_point", "invariant_prefix", "inverse", "order_of",
+              "order_type_label", "parse_homeo", "restrict_to_initial", "span",
+              "sup_image", "swap_points"],
+    "dynamics": ["RoelckeCertificate", "TransitivityProblem", "baire_density_witness",
+                 "dense_approx", "discontinuity_sequence", "fresh_point", "in_baire_T",
+                 "make_transitive", "roelcke_decompose"],
+    "sieve": ["ConstraintSystem", "FinitePermutation", "PartialInjection", "below",
+              "chain_limit", "contains", "extend_to_permutation", "format_constraints",
+              "format_injection", "format_permutation", "hall_brute", "normalize",
+              "parse_constraints", "parse_injection", "satisfiable"],
+}
+
+
+def test_exports_are_the_submodules_objects():
+    assert sorted(ordhomeo.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        sub = import_module(f"ordhomeo.{module}")
+        assert getattr(ordhomeo, module) is sub
+        for name in names:
+            assert getattr(ordhomeo, name) is getattr(sub, name)
+    namespace = {}
+    exec("from ordhomeo import *", namespace)
+    assert set(ordhomeo.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        ordhomeo.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# start-up: each check runs in a fresh interpreter
+
+
+BASE = {"ordhomeo", "ordhomeo.cli", "ordhomeo.errors"}
+
+
+def _loaded_by(code: str) -> tuple[set[str], bool]:
+    """The ordhomeo modules loaded after running code in a fresh
+    interpreter, and whether `dataclasses` was."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = f"import sys\n{code}\nprint(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=DATA, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    return {m for m in modules if m.startswith("ordhomeo")}, "dataclasses" in modules
+
+
+def _after_main(argv: list[str]) -> str:
+    return f"import io\nfrom ordhomeo.cli import main\nassert main({argv!r}, io.StringIO()) == 0"
+
+
+@pytest.mark.parametrize("code,loaded", [
+    pytest.param("import ordhomeo.cli", BASE, id="import-cli"),
+    pytest.param(_after_main(["ord", "eval", "w+1"]), BASE | {"ordhomeo.ordinals"}, id="ord"),
+    pytest.param(_after_main(["homeo", "check", "swap.hom"]),
+                 BASE | {"ordhomeo.ordinals", "ordhomeo.homeo"}, id="homeo"),
+    pytest.param(_after_main(["sieve", "normalize", "dup.cs"]),
+                 BASE | {"ordhomeo.ordinals", "ordhomeo.sieve"}, id="sieve"),
+    pytest.param("import ordhomeo\nordhomeo.homeo.compose",
+                 {"ordhomeo", "ordhomeo.errors", "ordhomeo.ordinals", "ordhomeo.homeo"},
+                 id="submodule-attribute"),
+])
+def test_a_command_loads_only_its_group(code, loaded):
+    assert _loaded_by(code) == (loaded, False)
+
+
+def test_dyn_loads_only_its_group():
+    loaded = BASE | {"ordhomeo.ordinals", "ordhomeo.homeo", "ordhomeo.dynamics"}
+    # RoelckeCertificate is still a dataclass, so dyn loads dataclasses
+    assert _loaded_by(_after_main(["dyn", "transitive", "3 -> 5"])) == (loaded, True)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def _records():
+    """(two equal but distinct records, the repr of the dataclass each
+    record type replaced) per record type."""
+    o = parse_ordinal
+
+    def pieces():
+        return (Piece(initial(ZERO), initial(ZERO)), Piece(span(ZERO, OMEGA), span(ZERO, OMEGA)))
+
+    return [
+        (lambda: PointClass("successor", o("w + 2")),
+         "PointClass(kind='successor', predecessor=w + 2)"),
+        (lambda: ClopenInterval(None, o("w")), "ClopenInterval(lo=None, hi=w)"),
+        (lambda: Piece(span(o("w"), o("w*2")), initial(ONE)),
+         "Piece(source=ClopenInterval(lo=w, hi=w*2), target=ClopenInterval(lo=None, hi=1))"),
+        (lambda: PwHomeo(pieces(), OMEGA),
+         "PwHomeo(pieces=(Piece(source=ClopenInterval(lo=None, hi=0), "
+         "target=ClopenInterval(lo=None, hi=0)), Piece(source=ClopenInterval(lo=0, hi=w), "
+         "target=ClopenInterval(lo=0, hi=w))), support=w)"),
+        (lambda: OrdinalSet(((ZERO, ZERO),), o("w*2")),
+         "OrdinalSet(intervals=((0, 0),), tail_from=w*2)"),
+        (lambda: ConstraintSystem(((ONE, frozenset([OMEGA])),)),
+         "ConstraintSystem(constraints=((1, frozenset({w})),))"),
+        (lambda: PartialInjection(((ONE, OMEGA),)), "PartialInjection(pairs=((1, w),))"),
+        (lambda: FinitePermutation(((ONE, o("2")),)), "FinitePermutation(cycles=((1, 2),))"),
+        (lambda: TransitivityProblem(((ONE, o("2")),)),
+         "TransitivityProblem(pairs=((1, 2),), frozen=frozenset())"),
+    ]
+
+
+RECORDS = _records()
+IDS = [r[1].split("(")[0] for r in RECORDS]
+
+
+@pytest.mark.parametrize("make,text", RECORDS, ids=IDS)
+def test_record_is_an_immutable_value(make, text):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert repr(a) == text
+    name = type(a).__slots__[0]
+    for change in (lambda: setattr(a, name, None), lambda: delattr(a, name),
+                   lambda: setattr(a, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert a == b
+
+
+@pytest.mark.parametrize("make,text", RECORDS, ids=IDS)
+def test_same_fields_under_another_record_type_differ(make, text):
+    a = make()
+    values = [getattr(a, name) for name in type(a).__slots__]
+    for make_other, _ in RECORDS:
+        cls = type(make_other())
+        if cls is type(a) or len(cls.__slots__) != len(values):
+            continue
+        impostor = object.__new__(cls)  # skips cls's own checks
+        for name, value in zip(cls.__slots__, values):
+            _set(impostor, name, value)
+        assert a != impostor and impostor != a
