@@ -20,6 +20,8 @@ intervals plus an unbounded tail, via the absorption law
 a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
 `compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons.
+`apply`, `sup_image`, `invariant_prefix` and `restrict_to_initial` find
+a point's piece through one linear scan, `_locate`, that stops there.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .ordinals import (
     Ordinal,
     _Record,
     _set,
+    _split_lines,
     absorb_threshold,
     classify,
     diff_exponent,
@@ -306,17 +309,27 @@ def canonicalize(g: PwHomeo) -> PwHomeo:
     return _canonical(g.pieces)
 
 
-def _piece_containing(g: PwHomeo, x: Ordinal) -> Optional[Piece]:
-    for p in g.pieces:
-        if p.source.contains(x):
-            return p
-    return None
+def _locate(g: PwHomeo, x: Ordinal) -> int:
+    """Index of the piece whose source contains x; len(g.pieces) above
+    the support.  The sources tile [0, support] in order, so it is the
+    first piece whose source ends at or above x."""
+    for i, p in enumerate(g.pieces):
+        if x <= p.source.hi:
+            return i
+    return len(g.pieces)
+
+
+def _image(g: PwHomeo, i: int, x: Ordinal) -> Ordinal:
+    """g(x), given i = _locate(g, x)."""
+    if i == len(g.pieces):
+        return x
+    p = g.pieces[i]
+    return _piece_map(p.source, p.target, x)
 
 
 def apply(g: PwHomeo, x: Ordinal) -> Ordinal:
     """g(x); the identity beyond the support.  Preserves rank."""
-    p = _piece_containing(g, x)
-    return x if p is None else _piece_map(p.source, p.target, x)
+    return _image(g, _locate(g, x), x)
 
 
 def _extended_pieces(g: PwHomeo, beta: Ordinal) -> list[Piece]:
@@ -562,17 +575,10 @@ def common_fixed_points(gs: Sequence[PwHomeo]) -> OrdinalSet:
 
 
 def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
-    """Exact supremum (in fact maximum) of g([0, alpha])."""
-    best = alpha if alpha > g.support else ZERO
-    for p in g.pieces:
-        if p.source.hi <= alpha:
-            cand = p.target.hi
-        elif p.source.contains(alpha):
-            cand = _piece_map(p.source, p.target, alpha)
-        else:
-            continue
-        best = max(best, cand)
-    return best
+    """Exact supremum (in fact maximum) of g([0, alpha]): the image of
+    alpha or the end of a target lying wholly below it."""
+    i = _locate(g, alpha)
+    return max([_image(g, i, alpha)] + [p.target.hi for p in g.pieces[:i]])
 
 
 def _piece_local_fix(p: Piece) -> Optional[Ordinal]:
@@ -586,8 +592,7 @@ def _piece_local_fix(p: Piece) -> Optional[Ordinal]:
         return src.hi
     if src.is_initial or tgt.is_initial or tgt.lo < src.lo:
         return None
-    theta = omega_pow(diff_exponent(src.lo, tgt.lo) + ONE)
-    return min(src.lo + theta, src.hi)
+    return min(src.lo + _fix_threshold(src, tgt), src.hi)
 
 
 def invariant_prefix(g: PwHomeo, alpha: Ordinal) -> Ordinal:
@@ -600,10 +605,9 @@ def invariant_prefix(g: PwHomeo, alpha: Ordinal) -> Ordinal:
         if s <= cur:
             return cur
         nxt = s
-        p = _piece_containing(g, cur)
-        if p is not None and cur < p.source.hi \
-                and _piece_map(p.source, p.target, cur) == s:
-            jump = _piece_local_fix(p)
+        i = _locate(g, cur)
+        if i < len(g.pieces) and cur < g.pieces[i].source.hi and _image(g, i, cur) == s:
+            jump = _piece_local_fix(g.pieces[i])
             if jump is not None and jump > nxt:
                 nxt = jump
         cur = nxt
@@ -646,9 +650,8 @@ def _least_active_above(gs: Sequence[PwHomeo], invs: Sequence[PwHomeo],
                 if y <= src.hi:
                     offer(y)
             elif not src.is_initial and not tgt.is_initial and tgt.lo > src.lo:
-                theta = omega_pow(diff_exponent(src.lo, tgt.lo) + ONE)
                 y = max(src.lo, x) + ONE
-                if y <= src.hi and y < src.lo + theta:
+                if y <= src.hi and y < src.lo + _fix_threshold(src, tgt):
                     offer(y)
 
     for g in gs:
@@ -693,14 +696,10 @@ def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
         return g
     if sup_image(g, alpha) > alpha or sup_image(inverse(g), alpha) > alpha:
         raise ContractError(f"[0, {format_ordinal(alpha)}] is not invariant")
-    kept = []
-    for p in g.pieces:
-        if p.source.hi <= alpha:
-            kept.append(p)
-        elif p.source.contains(alpha):
-            sub = initial(alpha) if p.source.is_initial else span(p.source.lo, alpha)
-            kept.append(Piece(sub, _map_sub(p.source, p.target, sub)))
-    return build(kept)
+    i = _locate(g, alpha)
+    p = g.pieces[i]
+    sub = _extend_iv(p.source, alpha)
+    return build([*g.pieces[:i], Piece(sub, _map_sub(p.source, p.target, sub))])
 
 
 # ---------------------------------------------------------------------------
@@ -746,13 +745,8 @@ def format_homeo(g: PwHomeo, unicode: bool = False) -> str:
 
 
 def parse_homeo(text: str) -> PwHomeo:
-    pieces = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line:
-            raise ParseError(f"line {lineno}: expected 'interval -> interval'")
-        left, _, right = line.partition("->")
-        pieces.append(Piece(parse_interval(left), parse_interval(right)))
-    return build(pieces)
+    ends: dict = {}  # one object per endpoint value, which bounds up to four intervals
+    ivs = [ClopenInterval(*(x and ends.setdefault(x, x) for x in (iv.lo, iv.hi)))
+           for _, left, right in _split_lines(text, "->", "'interval -> interval'")
+           for iv in (parse_interval(left), parse_interval(right))]
+    return build(zip(ivs[::2], ivs[1::2]))

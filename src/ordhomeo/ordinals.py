@@ -139,6 +139,10 @@ class Ordinal:
     def __repr__(self) -> str:
         return format_ordinal(self)
 
+    def __reduce__(self):
+        # copy and pickle cannot restore slots past the blocked __setattr__
+        return _make, (self._key,)
+
 
 def _make(key: tuple) -> Ordinal:
     o = object.__new__(Ordinal)
@@ -240,7 +244,8 @@ def rank(x: Ordinal) -> Ordinal:
 
 class _Record:
     """Base of the immutable records: a subclass names its fields in
-    `__slots__` and sets them in `__init__` through `_set`."""
+    `__slots__` and sets them in `__init__`, which takes them
+    positionally in that order, through `_set`."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = _immutable
@@ -255,6 +260,9 @@ class _Record:
 
     def __hash__(self) -> int:
         return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -469,3 +477,17 @@ def format_ordinal(x: Ordinal, unicode: bool = False) -> str:
     except ValueError:  # only int-to-str conversion raises it here
         raise ResourceError(f"coefficient longer than {sys.get_int_max_str_digits()}"
                             " digits") from None
+
+
+def _split_lines(text: str, sep: str, shape: str):
+    """(line number, left, right) for each record line of a line-based
+    file format, split at the first sep; blank and "#" lines are skipped,
+    and a line without sep is a ParseError naming the expected shape."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if sep not in line:
+            raise ParseError(f"line {lineno}: expected {shape}")
+        left, _, right = line.partition(sep)
+        yield lineno, left, right

@@ -15,7 +15,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, DomainError, ParseError, ResourceError
-from .ordinals import Ordinal, _Record, _set, format_ordinal, parse_ordinal
+from .ordinals import Ordinal, _Record, _set, _split_lines, format_ordinal, parse_ordinal
 
 _HALL_BRUTE_LIMIT = 20
 
@@ -147,11 +147,7 @@ def chain_limit(chain: Sequence[ConstraintSystem]) -> tuple[ConstraintSystem, Pa
     for i in range(len(chain) - 1):
         if not below(chain[i + 1], chain[i]):
             raise DomainError(f"chain violation between elements {i + 1} and {i + 2}")
-    merged: dict[Ordinal, frozenset[Ordinal]] = {}
-    for cs in chain:
-        for p, vals in normalize(cs).constraints:
-            merged[p] = merged[p] & vals if p in merged else vals
-    limit = ConstraintSystem(tuple((p, merged[p]) for p in sorted(merged)))
+    limit = normalize(ConstraintSystem(tuple(c for cs in chain for c in cs.constraints)))
     witness = satisfiable(limit)
     if witness is None:  # the refinement discipline rules this out
         raise ContractError("chain limit lost satisfiability")
@@ -242,13 +238,7 @@ def format_constraints(cs: ConstraintSystem, unicode: bool = False) -> str:
 
 def parse_constraints(text: str) -> ConstraintSystem:
     items = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError(f"line {lineno}: expected 'point : {{ values }}'")
-        left, _, right = line.partition(":")
+    for lineno, left, right in _split_lines(text, ":", "'point : { values }'"):
         right = right.strip()
         if not right.startswith("{") or not right.endswith("}"):
             raise ParseError(f"line {lineno}: expected a braced value set")
@@ -267,15 +257,8 @@ def format_injection(h: PartialInjection, unicode: bool = False) -> str:
 
 
 def parse_injection(text: str) -> PartialInjection:
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line:
-            raise ParseError(f"line {lineno}: expected 'from -> to'")
-        left, _, right = line.partition("->")
-        pairs.append((parse_ordinal(left), parse_ordinal(right)))
+    pairs = [(parse_ordinal(left), parse_ordinal(right))
+             for _, left, right in _split_lines(text, "->", "'from -> to'")]
     h = PartialInjection(tuple(pairs))
     h.validate()
     return h

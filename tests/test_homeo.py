@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ordhomeo import homeo
-from ordhomeo.errors import DomainError, ValidationError
+from ordhomeo.errors import ContractError, DomainError, ValidationError
 from ordhomeo.homeo import (
     IDENTITY,
     OrdinalSet,
@@ -590,6 +590,12 @@ class TestTextFormat:
         """
         assert parse_homeo(text) == swap_0w()
 
+    def test_parse_shares_equal_endpoints(self):
+        g = parse_homeo(format_homeo(disjoint_swaps(random.Random(23), 40, OMEGA)))
+        ends = [x for p in g.pieces for iv in (p.source, p.target)
+                for x in (iv.lo, iv.hi) if x is not None]
+        assert len({id(x) for x in ends}) == len(set(ends)) < len(ends) / 3
+
     def test_interval_format(self):
         assert format_interval(initial(OMEGA)) == "[0, w]"
         assert format_interval(span(OMEGA, o("w*2"))) == "(w, w*2]"
@@ -719,3 +725,112 @@ class TestLinearPieceAlgebra:
         for s in sets:
             for t in rng.sample(sets, 12):
                 assert s.intersect(t) == intersect_ref(s, t)
+
+
+# ---------------------------------------------------------------------------
+# the one piece lookup against the per-piece scans it replaced, kept here
+# as references
+
+
+def piece_containing_ref(g: PwHomeo, x: Ordinal):
+    for p in g.pieces:
+        if p.source.contains(x):
+            return p
+    return None
+
+
+def apply_ref(g: PwHomeo, x: Ordinal) -> Ordinal:
+    p = piece_containing_ref(g, x)
+    return x if p is None else homeo._piece_map(p.source, p.target, x)
+
+
+def sup_image_ref(g: PwHomeo, alpha: Ordinal) -> Ordinal:
+    best = alpha if alpha > g.support else ZERO
+    for p in g.pieces:
+        if p.source.hi <= alpha:
+            cand = p.target.hi
+        elif p.source.contains(alpha):
+            cand = homeo._piece_map(p.source, p.target, alpha)
+        else:
+            continue
+        best = max(best, cand)
+    return best
+
+
+def restrict_to_initial_ref(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
+    if alpha >= g.support:
+        return g
+    if sup_image_ref(g, alpha) > alpha or sup_image_ref(inverse(g), alpha) > alpha:
+        raise ContractError("not invariant")
+    kept = []
+    for p in g.pieces:
+        if p.source.hi <= alpha:
+            kept.append(p)
+        elif p.source.contains(alpha):
+            sub = initial(alpha) if p.source.is_initial else span(p.source.lo, alpha)
+            kept.append(Piece(sub, homeo._map_sub(p.source, p.target, sub)))
+    return build(kept)
+
+
+def lookup_points(g: PwHomeo) -> list[Ordinal]:
+    """Each piece's first and last point, the support and above it."""
+    points = [x for p in g.pieces for x in (p.source.first, p.source.hi)]
+    return points + [g.support, g.support + ONE, g.support + OMEGA]
+
+
+def restricted_or_error(restrict, g: PwHomeo, alpha: Ordinal):
+    try:
+        return restrict(g, alpha)
+    except ContractError:
+        return ContractError
+
+
+def lookup_maps():
+    rng = random.Random(35)
+    maps = [random_homeo(rng, max_moves=6) for _ in range(40)]
+    return maps + [g for pair in large_map_pairs(rng) for g in pair]
+
+
+class TestPieceLookup:
+    def test_apply_and_sup_image_match_reference(self):
+        maps = lookup_maps()
+        assert max(len(g.pieces) for g in maps) >= 290
+        for g in maps:
+            for x in lookup_points(g):
+                i = homeo._locate(g, x)
+                assert (g.pieces[i] if i < len(g.pieces) else None) == piece_containing_ref(g, x)
+                assert apply(g, x) == apply_ref(g, x)
+                assert sup_image(g, x) == sup_image_ref(g, x)
+
+    def test_restrict_to_initial_matches_reference(self):
+        rng = random.Random(36)
+        for g in lookup_maps():
+            points = lookup_points(g)
+            if len(points) > 40:  # each call inverts and rebuilds the map
+                points = rng.sample(points, 40)
+            points += [invariant_point(g, x) for x in points[:8]]
+            for x in points:
+                got = restricted_or_error(restrict_to_initial, g, x)
+                assert got == restricted_or_error(restrict_to_initial_ref, g, x)
+
+    def test_fixed_point_solvers_keep_their_contracts(self):
+        # 400 random families of one to three maps through every solver
+        rng = random.Random(37)
+        for _ in range(400):
+            gs = [random_homeo(rng) for _ in range(rng.randint(1, 3))]
+            alpha = rng.choice(GRID)
+            beta = find_fixed_point_above(gs, alpha)
+            assert beta > alpha
+            assert all(apply(g, beta) == beta for g in gs)
+            assert common_fixed_points(gs).contains(beta)
+            g = gs[0]
+            ig = inverse(g)
+            star = invariant_prefix(g, alpha)
+            assert star >= alpha and sup_image(g, star) <= star
+            star2 = invariant_point(g, alpha)
+            assert star2 >= star
+            assert sup_image(g, star2) <= star2 and sup_image(ig, star2) <= star2
+            h = restrict_to_initial(g, star2)
+            assert h.support <= star2
+            for x in rng.sample(GRID, 20):
+                assert apply(h, x) == (apply(g, x) if x <= star2 else x)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import cmp_to_key
 
@@ -491,3 +493,10 @@ def test_ordinal_is_immutable():
     with pytest.raises(AttributeError):
         del x._key
     assert x == OMEGA + ONE
+
+
+@pytest.mark.parametrize("text", ["0", "5", "w^(w + 1)*3 + w*2 + 7"])
+def test_ordinal_copies_and_pickles(text):
+    x = parse_ordinal(text)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x) and type(y) is Ordinal

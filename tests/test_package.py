@@ -1,7 +1,9 @@
 """The package surface: lazy exports, what each CLI group loads, and the
 immutable value records."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from importlib import import_module
@@ -11,9 +13,12 @@ import pytest
 
 import ordhomeo
 from ordhomeo.dynamics import TransitivityProblem
-from ordhomeo.homeo import ClopenInterval, OrdinalSet, Piece, PwHomeo, initial, span
+from ordhomeo.errors import ParseError
+from ordhomeo.homeo import (ClopenInterval, OrdinalSet, Piece, PwHomeo, initial, parse_homeo,
+                           span)
 from ordhomeo.ordinals import OMEGA, ONE, ZERO, PointClass, _set, parse_ordinal
-from ordhomeo.sieve import ConstraintSystem, FinitePermutation, PartialInjection
+from ordhomeo.sieve import (ConstraintSystem, FinitePermutation, PartialInjection,
+                            parse_constraints, parse_injection)
 
 DATA = Path(__file__).parent / "golden" / "data"
 SRC = Path(ordhomeo.__file__).resolve().parent.parent
@@ -164,3 +169,27 @@ def test_same_fields_under_another_record_type_differ(make, text):
         for name, value in zip(cls.__slots__, values):
             _set(impostor, name, value)
         assert a != impostor and impostor != a
+
+
+@pytest.mark.parametrize("make,text", RECORDS, ids=IDS)
+def test_record_copies_and_pickles(make, text):
+    a = make()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a) and repr(b) == text
+
+
+# ---------------------------------------------------------------------------
+# the line-based file formats
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_homeo, "# swap\n\n[0, 0] -> [0, 0]\n[0, 1]\n",
+     "line 4: expected 'interval -> interval'"),
+    (parse_injection, "1 -> 2\n  # note\n3 to 4\n", "line 3: expected 'from -> to'"),
+    (parse_constraints, "\n1 : { 2 }\n1 { 2 }\n", "line 3: expected 'point : { values }'"),
+    (parse_constraints, "1 : { 2 }\n#\n2 : 3\n", "line 3: expected a braced value set"),
+])
+def test_line_formats_name_the_line_and_the_expected_shape(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
