@@ -21,7 +21,7 @@ _SOURCE = {name: module for module, names in (
               " common_fixed_points compose enum_index find_fixed_point_above"
               " fixed_points format_homeo format_interval format_ordinal_set identity"
               " index_of initial interval_swap invariant_point invariant_prefix inverse"
-              " order_of order_type_label parse_homeo restrict_to_initial span"
+              " order_of order_type parse_homeo restrict_to_initial span"
               " sup_image swap_points"),
     ("dynamics", "RoelckeCertificate TransitivityProblem baire_density_witness"
                  " dense_approx discontinuity_sequence fresh_point in_baire_T"

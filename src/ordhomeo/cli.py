@@ -45,8 +45,9 @@ def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if sum(ch.isdecimal() for ch in text) > limit:
+        # 0 is no limit: Python before 3.10.7 has none, and no getter
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit and sum(ch.isdecimal() for ch in text) > limit:
             raise ResourceError(f"integer argument longer than {limit} digits") from None
         raise ParseError(f"expected an integer, got {text!r}") from None
     if n < 1:

@@ -23,6 +23,7 @@ from typing import Sequence
 from .errors import ContractError, DomainError
 from .homeo import (
     PwHomeo,
+    _preimage,
     apply,
     compose,
     fixed_points,
@@ -232,7 +233,7 @@ def baire_density_witness(g: PwHomeo, n: int,
     while Ordinal(k) in avoid:
         k += 1
     ko = Ordinal(k)
-    pre = apply(inverse(g), ko)
+    pre = _preimage(g, ko)
     if pre == ko:
         h = g
     else:

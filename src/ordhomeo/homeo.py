@@ -7,17 +7,17 @@ the same segment; beyond the support the map is the identity.  This
 class of maps is closed under composition and inverse, every member is
 a homeomorphism (pieces are clopen), and membership is decidable.
 
-Intervals come in two shapes: Initial(hi) = [0, hi] and
-LeftOpen(lo, hi) = ]lo, hi].  Each interval carries an order-type
-label (hi + 1 for initial intervals, the left difference hi - lo for
-left-open ones) and a piece requires equal labels on both sides.  A
-mixed piece, initial on one side only, is additionally required to be
-finite: for infinite lengths the two shapes have different index sets,
-so no order isomorphism exists even when the labels agree.
+Every interval is stored half-open, as [start, end): [0, hi] is
+[0, hi + 1) and ]lo, hi] is [lo + 1, hi + 1), the two forms the text
+format prints.  [a, b) has order type -a + b, both sides of a piece
+have the same one, and the piece [a, .) -> [c, .) is x -> c + (-a + x).
+The canonical form merges every run of target-contiguous pieces, trims
+the identity suffix, and writes a piece starting at 0 on one side only
+and of infinite order type as its first point plus the rest.
 
 Fixed-point sets are computed exactly, as finite unions of closed
-intervals plus an unbounded tail, via the absorption law
-a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
+intervals plus an unbounded tail, via the absorption law for the starts
+a, c of a piece:  a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
 `compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons.
 `apply`, `sup_image`, `invariant_prefix` and `restrict_to_initial` find
@@ -35,10 +35,11 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
+    _drop_last,
+    _make,
     _Record,
     _set,
     _split_lines,
-    absorb_threshold,
     classify,
     diff_exponent,
     format_ordinal,
@@ -55,29 +56,46 @@ _ITERATION_CAP = 1000
 # clopen intervals
 
 
-class ClopenInterval(_Record):
-    """[0, hi] when lo is None, else ]lo, hi]."""
+def _pred(x: Ordinal) -> Ordinal:
+    """x - 1 for a successor x: one less in the last term of its key."""
+    return _make(_drop_last(x._key))
 
-    __slots__ = ("lo", "hi")
+
+class ClopenInterval(_Record):
+    """[start, end), built as [0, hi] when lo is None, else as ]lo, hi]."""
+
+    __slots__ = ("start", "end")
 
     def __init__(self, lo: Optional[Ordinal], hi: Ordinal):
         if lo is not None and not lo < hi:
             raise DomainError(f"empty interval ({format_ordinal(lo)}, {format_ordinal(hi)}]")
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+        _set(self, "start", ZERO if lo is None else lo + ONE)
+        _set(self, "end", hi + ONE)
 
     @property
-    def is_initial(self) -> bool:
-        return self.lo is None
+    def lo(self) -> Optional[Ordinal]:
+        return None if self.start.is_zero else _pred(self.start)
+
+    @property
+    def hi(self) -> Ordinal:
+        return _pred(self.end)
 
     def contains(self, x: Ordinal) -> bool:
-        if self.lo is None:
-            return x <= self.hi
-        return self.lo < x <= self.hi
+        return self.start <= x < self.end
 
-    @property
-    def first(self) -> Ordinal:
-        return ZERO if self.lo is None else self.lo + ONE
+    def __repr__(self) -> str:
+        return f"ClopenInterval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return _interval, (self.start, self.end)
+
+
+def _interval(start: Ordinal, end: Ordinal) -> ClopenInterval:
+    """[start, end), unchecked: start is 0 or a successor, end a larger successor."""
+    iv = object.__new__(ClopenInterval)
+    _set(iv, "start", start)
+    _set(iv, "end", end)
+    return iv
 
 
 def initial(hi: Ordinal) -> ClopenInterval:
@@ -88,24 +106,15 @@ def span(lo: Ordinal, hi: Ordinal) -> ClopenInterval:
     return ClopenInterval(lo, hi)
 
 
-def order_type_label(iv: ClopenInterval) -> Ordinal:
-    """The label pieces must agree on: hi + 1 for [0, hi], hi - lo for
-    ]lo, hi]."""
-    if iv.lo is None:
-        return iv.hi + ONE
-    return left_subtract(iv.lo, iv.hi)
+def order_type(iv: ClopenInterval) -> Ordinal:
+    """-start + end, the order type of [start, end)."""
+    return left_subtract(iv.start, iv.end)
 
 
 def enum_index(iv: ClopenInterval, i: Ordinal) -> Ordinal:
-    """The i-th element of the interval.  Indices of ]lo, hi] are the
-    shifted offsets 1 + i, so finite members sit at i = offset - 1 and
-    infinite members at i = offset."""
-    if iv.lo is None:
-        if i > iv.hi:
-            raise DomainError(f"index {format_ordinal(i)} out of range")
-        return i
-    x = iv.lo + (ONE + i)
-    if x > iv.hi:
+    """The i-th element of the interval, start + i."""
+    x = iv.start + i
+    if x >= iv.end:
         raise DomainError(f"index {format_ordinal(i)} out of range")
     return x
 
@@ -114,25 +123,12 @@ def index_of(iv: ClopenInterval, t: Ordinal) -> Ordinal:
     """Inverse of enum_index."""
     if not iv.contains(t):
         raise DomainError(f"{format_ordinal(t)} is not in the interval")
-    if iv.lo is None:
-        return t
-    s = left_subtract(iv.lo, t)
-    if s.is_finite:
-        return Ordinal(int(s) - 1)
-    return s
+    return left_subtract(iv.start, t)
 
 
 def interval_intersect(a: ClopenInterval, b: ClopenInterval) -> Optional[ClopenInterval]:
-    hi = min(a.hi, b.hi)
-    if a.lo is None and b.lo is None:
-        return initial(hi)
-    if a.lo is None:
-        lo = b.lo
-    elif b.lo is None:
-        lo = a.lo
-    else:
-        lo = max(a.lo, b.lo)
-    return span(lo, hi) if lo < hi else None
+    start, end = max(a.start, b.start), min(a.end, b.end)
+    return _interval(start, end) if start < end else None
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +143,9 @@ class Piece(_Record):
         _set(self, "target", target)
 
 
-def _compatible(src: ClopenInterval, tgt: ClopenInterval) -> bool:
-    la, lb = order_type_label(src), order_type_label(tgt)
-    if la != lb:
-        return False
-    if src.is_initial != tgt.is_initial:
-        # mixed pieces only exist at finite length; see module docstring
-        return la.is_finite
-    return True
-
-
 def _piece_map(src: ClopenInterval, tgt: ClopenInterval, x: Ordinal) -> Ordinal:
-    return enum_index(tgt, index_of(src, x))
+    """x's image, for x in src or x = src.end, which goes to tgt.end."""
+    return tgt.start + left_subtract(src.start, x)
 
 
 def _map_sub(src: ClopenInterval, tgt: ClopenInterval,
@@ -166,12 +153,7 @@ def _map_sub(src: ClopenInterval, tgt: ClopenInterval,
     """Image of a subinterval sub of src under the piece isomorphism."""
     if sub == src:
         return tgt
-    hi2 = _piece_map(src, tgt, sub.hi)
-    if sub.lo is None or (src.lo is not None and sub.lo == src.lo):
-        # sub reaches to the bottom of src
-        return initial(hi2) if tgt.is_initial else span(tgt.lo, hi2)
-    lo2 = _piece_map(src, tgt, sub.lo)
-    return span(lo2, hi2)
+    return _interval(_piece_map(src, tgt, sub.start), _piece_map(src, tgt, sub.end))
 
 
 def _format_piece(p: Piece, unicode: bool = False) -> str:
@@ -208,31 +190,26 @@ def identity() -> PwHomeo:
     return IDENTITY
 
 
-def _start_key(iv: ClopenInterval):
-    """Orders intervals by their left end, [0, hi] first."""
-    return (0, ZERO) if iv.is_initial else (1, iv.lo)
-
-
-# On a tiling, the order of right ends is the order of left ends.
-_source_hi = attrgetter("source.hi")
+# On a tiling, the order of ends is the order of starts.
+_source_end = attrgetter("source.end")
 
 
 def _check_tiling(pieces: Sequence[Piece], side: str) -> Ordinal:
-    """Intervals on one side must tile [0, beta]; returns beta."""
-    ivs = sorted(((getattr(p, side), p) for p in pieces), key=lambda e: _start_key(e[0]))
+    """Intervals on one side must tile [0, beta]; returns beta + 1."""
+    ivs = sorted(((getattr(p, side), p) for p in pieces), key=lambda e: e[0].start)
     first_iv, first_p = ivs[0]
-    if not first_iv.is_initial:
+    if not first_iv.start.is_zero:
         raise ValidationError(
             f"{side}s do not cover 0 (no initial interval); first piece: {_format_piece(first_p)}")
-    end = first_iv.hi
+    end = first_iv.end
     for iv, p in ivs[1:]:
-        if iv.is_initial:
+        if iv.start.is_zero:
             raise ValidationError(f"duplicate initial {side} in piece: {_format_piece(p)}")
-        if iv.lo != end:
-            kind = "overlapping" if iv.lo < end else "gap before"
-            raise ValidationError(
-                f"{kind} {side} interval in piece: {_format_piece(p)} (expected start {format_ordinal(end)})")
-        end = iv.hi
+        if iv.start != end:
+            kind = "overlapping" if iv.start < end else "gap before"
+            raise ValidationError(f"{kind} {side} interval in piece: {_format_piece(p)}"
+                                  f" (expected start {format_ordinal(_pred(end))})")
+        end = iv.end
     return end
 
 
@@ -240,65 +217,49 @@ def build(pieces: Iterable[Piece | tuple[ClopenInterval, ClopenInterval]]) -> Pw
     """Validate a piece list and return the canonical map it denotes."""
     ps = [p if isinstance(p, Piece) else Piece(*p) for p in pieces]
     for p in ps:
-        if not _compatible(p.source, p.target):
-            raise ValidationError(
-                f"order type mismatch ({format_ordinal(order_type_label(p.source))} vs "
-                f"{format_ordinal(order_type_label(p.target))}) in piece: {_format_piece(p)}")
+        a, b = order_type(p.source), order_type(p.target)
+        if a != b:
+            raise ValidationError(f"order type mismatch ({format_ordinal(a)} vs "
+                                  f"{format_ordinal(b)}) in piece: {_format_piece(p)}")
     if not ps:
         return IDENTITY
-    beta_src = _check_tiling(ps, "source")
-    beta_tgt = _check_tiling(ps, "target")
-    if beta_src != beta_tgt:
-        raise ValidationError(
-            f"sources end at {format_ordinal(beta_src)} but targets end at {format_ordinal(beta_tgt)}")
+    end_src = _check_tiling(ps, "source")
+    end_tgt = _check_tiling(ps, "target")
+    if end_src != end_tgt:
+        raise ValidationError(f"sources end at {format_ordinal(_pred(end_src))}"
+                              f" but targets end at {format_ordinal(_pred(end_tgt))}")
     return _canonical(ps)
 
 
-def _extend_iv(iv: ClopenInterval, new_hi: Ordinal) -> ClopenInterval:
-    return initial(new_hi) if iv.is_initial else span(iv.lo, new_hi)
-
-
-def _resplit(src: ClopenInterval, tgt: ClopenInterval) -> tuple[Piece, Piece]:
-    """Split a contiguous but label-incompatible merge (one side initial,
-    infinite length) into its minimal head plus a valid remainder."""
-    if src.is_initial:
-        head = Piece(initial(ZERO), span(tgt.lo, tgt.lo + ONE))
-        rest = Piece(span(ZERO, src.hi), span(tgt.lo + ONE, tgt.hi))
-    else:
-        head = Piece(span(src.lo, src.lo + ONE), initial(ZERO))
-        rest = Piece(span(src.lo + ONE, src.hi), span(ZERO, tgt.hi))
-    if not _compatible(rest.source, rest.target):  # pragma: no cover
-        raise ContractError("resplit produced an incompatible remainder")
-    return head, rest
-
-
 def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
-    """Merge neighbours whose sources and targets are contiguous, trim
-    the identity suffix.  Blocked merges (a finite mixed head absorbed
-    into an infinite run) are re-split at the least admissible point, so
-    extensionally equal maps reach identical piece lists."""
-    ps = sorted(pieces, key=_source_hi)
-    out: list[Piece] = []
-    block = ps[0]
+    """Merge every run of target-contiguous pieces (adjacent order
+    isomorphisms unite to one), trim the identity suffix, and split off
+    the first point of an infinite piece starting at 0 on one side only,
+    so extensionally equal maps reach identical piece lists."""
+    ps = sorted(pieces, key=_source_end)
+    runs = [ps[0]]
     for q in ps[1:]:
-        if not q.target.is_initial and q.target.lo == block.target.hi:
-            merged_src = _extend_iv(block.source, q.source.hi)
-            merged_tgt = _extend_iv(block.target, q.target.hi)
-            if _compatible(merged_src, merged_tgt):
-                block = Piece(merged_src, merged_tgt)
-                continue
-            head, block = _resplit(merged_src, merged_tgt)
-            out.append(head)
-            continue
-        out.append(block)
-        block = q
-    out.append(block)
-    while out and out[-1].source == out[-1].target:
-        out.pop()
+        p = runs[-1]
+        if q.target.start == p.target.end:
+            runs[-1] = Piece(_interval(p.source.start, q.source.end),
+                             _interval(p.target.start, q.target.end))
+        else:
+            runs.append(q)
+    while runs and runs[-1].source == runs[-1].target:
+        runs.pop()
+    out = []
+    for p in runs:
+        a, c = p.source.start, p.target.start
+        if a.is_zero != c.is_zero and not order_type(p.source).is_finite:
+            a1, c1 = a + ONE, c + ONE
+            out += [Piece(_interval(a, a1), _interval(c, c1)),
+                    Piece(_interval(a1, p.source.end), _interval(c1, p.target.end))]
+        else:
+            out.append(p)
     if __debug__:
         for p in out:
-            assert _compatible(p.source, p.target), _format_piece(p)
-    support = out[-1].source.hi if out else ZERO
+            assert order_type(p.source) == order_type(p.target), _format_piece(p)
+    support = _pred(out[-1].source.end) if out else ZERO
     return PwHomeo(tuple(out), support)
 
 
@@ -310,11 +271,10 @@ def canonicalize(g: PwHomeo) -> PwHomeo:
 
 
 def _locate(g: PwHomeo, x: Ordinal) -> int:
-    """Index of the piece whose source contains x; len(g.pieces) above
-    the support.  The sources tile [0, support] in order, so it is the
-    first piece whose source ends at or above x."""
+    """Index of the first piece whose source ends above x, which contains
+    x as the sources tile [0, support] in order; len(g.pieces) above it."""
     for i, p in enumerate(g.pieces):
-        if x <= p.source.hi:
+        if x < p.source.end:
             return i
     return len(g.pieces)
 
@@ -332,11 +292,20 @@ def apply(g: PwHomeo, x: Ordinal) -> Ordinal:
     return _image(g, _locate(g, x), x)
 
 
-def _extended_pieces(g: PwHomeo, beta: Ordinal) -> list[Piece]:
-    """g's pieces (g not the identity) padded to tile [0, beta]."""
-    if g.support == beta:
+def _preimage(g: PwHomeo, y: Ordinal) -> Ordinal:
+    """g^-1(y), by one scan over the targets."""
+    for p in g.pieces:
+        if p.target.contains(y):
+            return _piece_map(p.target, p.source, y)
+    return y
+
+
+def _extended_pieces(g: PwHomeo, end: Ordinal) -> list[Piece]:
+    """g's pieces (g not the identity) padded to tile [0, end)."""
+    last = g.pieces[-1].source.end
+    if last == end:
         return list(g.pieces)
-    iv = span(g.support, beta)
+    iv = _interval(last, end)
     return [*g.pieces, Piece(iv, iv)]
 
 
@@ -346,9 +315,9 @@ def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
         return h
     if h.is_identity:
         return g
-    beta = max(g.support, h.support)
-    hp = sorted(_extended_pieces(h, beta), key=attrgetter("target.hi"))
-    gp = _extended_pieces(g, beta)
+    end = max(g.pieces[-1].source.end, h.pieces[-1].source.end)
+    hp = sorted(_extended_pieces(h, end), key=attrgetter("target.end"))
+    gp = _extended_pieces(g, end)
     out = []
     i = j = 0
     while i < len(hp) and j < len(gp):
@@ -358,9 +327,9 @@ def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
             src = _map_sub(p.target, p.source, overlap)
             tgt = _map_sub(q.source, q.target, overlap)
             out.append(Piece(src, tgt))
-        if p.target.hi <= q.source.hi:
+        if p.target.end <= q.source.end:
             i += 1
-        if q.source.hi <= p.target.hi:
+        if q.source.end <= p.target.end:
             j += 1
     return _canonical(out)
 
@@ -389,16 +358,15 @@ def interval_swap(i: ClopenInterval, j: ClopenInterval) -> PwHomeo:
     if interval_intersect(i, j) is not None:
         raise DomainError(
             f"intervals overlap: {format_interval(i)} and {format_interval(j)}")
-    if order_type_label(i) != order_type_label(j) or not _compatible(i, j):
+    if order_type(i) != order_type(j):
         raise DomainError(
             f"order type mismatch: {format_interval(i)} vs {format_interval(j)}")
-    lower, upper = sorted([i, j], key=_start_key)
+    lower, upper = sorted([i, j], key=attrgetter("start"))
     pieces = [Piece(i, j), Piece(j, i)]
-    if not lower.is_initial:
-        pieces.append(Piece(initial(lower.lo), initial(lower.lo)))
-    if lower.hi < upper.lo:
-        gap = span(lower.hi, upper.lo)
-        pieces.append(Piece(gap, gap))
+    for start, end in ((ZERO, lower.start), (lower.end, upper.start)):
+        if start < end:
+            gap = _interval(start, end)
+            pieces.append(Piece(gap, gap))
     return build(pieces)
 
 
@@ -409,13 +377,7 @@ def swap_points(x: Ordinal, y: Ordinal) -> PwHomeo:
     for p in (x, y):
         if rank(p) != ZERO:
             raise DomainError(f"{format_ordinal(p)} is not isolated (rank > 0)")
-
-    def singleton(p: Ordinal) -> ClopenInterval:
-        if p.is_zero:
-            return initial(ZERO)
-        return span(classify(p).predecessor, p)
-
-    return interval_swap(singleton(x), singleton(y))
+    return interval_swap(_interval(x, x + ONE), _interval(y, y + ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +497,9 @@ def format_ordinal_set(s: OrdinalSet, unicode: bool = False) -> str:
 
 
 def _fix_threshold(src: ClopenInterval, tgt: ClopenInterval) -> Ordinal:
-    """Least shifted offset s at which the piece fixes its points.  For
-    mixed (finite) pieces the result exceeds the piece, yielding an
-    empty contribution."""
-    if src.is_initial:
-        return max(OMEGA, absorb_threshold(tgt.lo))
-    if tgt.is_initial:
-        return max(OMEGA, absorb_threshold(src.lo))
-    d = diff_exponent(src.lo, tgt.lo)
-    assert d is not None
-    return omega_pow(d + ONE)
+    """Least s with src.start + s = tgt.start + s, for distinct starts:
+    the piece fixes src.start + s exactly from there on."""
+    return omega_pow(diff_exponent(src.start, tgt.start) + ONE)
 
 
 def fixed_points(g: PwHomeo) -> OrdinalSet:
@@ -555,13 +510,10 @@ def fixed_points(g: PwHomeo) -> OrdinalSet:
         return OrdinalSet.from_parts([(ZERO, ZERO)], ZERO)
     parts = []
     for p in g.pieces:
-        if p.source == p.target:
-            parts.append((p.source.first, p.source.hi))
-            continue
-        theta = _fix_threshold(p.source, p.target)
-        x0 = theta if p.source.is_initial else p.source.lo + theta
-        if x0 <= p.source.hi:
-            parts.append((x0, p.source.hi))
+        src, tgt = p.source, p.target
+        x0 = src.start if src == tgt else src.start + _fix_threshold(src, tgt)
+        if x0 < src.end:
+            parts.append((x0, src.hi))
     return OrdinalSet.from_parts(parts, g.support)
 
 
@@ -576,9 +528,9 @@ def common_fixed_points(gs: Sequence[PwHomeo]) -> OrdinalSet:
 
 def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     """Exact supremum (in fact maximum) of g([0, alpha]): the image of
-    alpha or the end of a target lying wholly below it."""
+    alpha or the last point of a target lying wholly below it."""
     i = _locate(g, alpha)
-    return max([_image(g, i, alpha)] + [p.target.hi for p in g.pieces[:i]])
+    return _pred(max([_image(g, i, alpha) + ONE] + [p.target.end for p in g.pieces[:i]]))
 
 
 def _piece_local_fix(p: Piece) -> Optional[Ordinal]:
@@ -586,13 +538,9 @@ def _piece_local_fix(p: Piece) -> Optional[Ordinal]:
     upward, or the piece end when there is no such interior point;
     None for pieces that never push upward."""
     src, tgt = p.source, p.target
-    if src == tgt:
+    if not src.start < tgt.start:
         return None
-    if src.is_initial and not tgt.is_initial:
-        return src.hi
-    if src.is_initial or tgt.is_initial or tgt.lo < src.lo:
-        return None
-    return min(src.lo + _fix_threshold(src, tgt), src.hi)
+    return min(src.start + _fix_threshold(src, tgt), src.hi)
 
 
 def invariant_prefix(g: PwHomeo, alpha: Ordinal) -> Ordinal:
@@ -635,23 +583,17 @@ def _least_active_above(gs: Sequence[PwHomeo], invs: Sequence[PwHomeo],
     bound = x + OMEGA
     best: Optional[Ordinal] = None
 
-    def offer(y: Optional[Ordinal]):
+    def offer(y: Ordinal):
         nonlocal best
-        if y is not None and x < y < bound and (best is None or y < best):
+        if x < y < bound and (best is None or y < best):
             best = y
 
     def pointwise_up(m: PwHomeo):
         for p in m.pieces:
             src, tgt = p.source, p.target
-            if src == tgt:
-                continue
-            if src.is_initial and not tgt.is_initial:
-                y = x + ONE
-                if y <= src.hi:
-                    offer(y)
-            elif not src.is_initial and not tgt.is_initial and tgt.lo > src.lo:
-                y = max(src.lo, x) + ONE
-                if y <= src.hi and y < src.lo + _fix_threshold(src, tgt):
+            if src.start < tgt.start:
+                y = max(src.start, x + ONE)
+                if y < src.end and y < src.start + _fix_threshold(src, tgt):
                     offer(y)
 
     for g in gs:
@@ -659,7 +601,7 @@ def _least_active_above(gs: Sequence[PwHomeo], invs: Sequence[PwHomeo],
     for h in invs:
         pointwise_up(h)
         for p in h.pieces:
-            if p.target.hi > p.source.hi:
+            if p.target.end > p.source.end:
                 y = max(p.source.hi, x + ONE)
                 if y < p.target.hi:
                     offer(y)
@@ -689,16 +631,26 @@ def find_fixed_point_above(gs: Sequence[PwHomeo], alpha: Ordinal) -> Ordinal:
     raise ContractError("fixed-point iteration failed to stabilise")
 
 
+def _sup_preimage(g: PwHomeo, alpha: Ordinal) -> Ordinal:
+    """sup_image(inverse(g), alpha) without building the inverse: the
+    last point that a target meeting [0, alpha] pulls back to."""
+    if alpha >= g.support:
+        return alpha
+    top = alpha + ONE
+    return _pred(max(_piece_map(p.target, p.source, min(top, p.target.end))
+                     for p in g.pieces if p.target.start < top))
+
+
 def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
     """g on [0, alpha] extended by the identity; alpha must satisfy
     g([0, alpha]) = [0, alpha]."""
     if alpha >= g.support:
         return g
-    if sup_image(g, alpha) > alpha or sup_image(inverse(g), alpha) > alpha:
+    if sup_image(g, alpha) > alpha or _sup_preimage(g, alpha) > alpha:
         raise ContractError(f"[0, {format_ordinal(alpha)}] is not invariant")
     i = _locate(g, alpha)
     p = g.pieces[i]
-    sub = _extend_iv(p.source, alpha)
+    sub = _interval(p.source.start, alpha + ONE)
     return build([*g.pieces[:i], Piece(sub, _map_sub(p.source, p.target, sub))])
 
 
@@ -714,9 +666,10 @@ def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
 
 
 def format_interval(iv: ClopenInterval, unicode: bool = False) -> str:
-    if iv.is_initial:
-        return f"[0, {format_ordinal(iv.hi, unicode)}]"
-    return f"({format_ordinal(iv.lo, unicode)}, {format_ordinal(iv.hi, unicode)}]"
+    hi = format_ordinal(iv.hi, unicode)
+    if iv.start.is_zero:
+        return f"[0, {hi}]"
+    return f"({format_ordinal(iv.lo, unicode)}, {hi}]"
 
 
 def parse_interval(text: str) -> ClopenInterval:
@@ -746,7 +699,7 @@ def format_homeo(g: PwHomeo, unicode: bool = False) -> str:
 
 def parse_homeo(text: str) -> PwHomeo:
     ends: dict = {}  # one object per endpoint value, which bounds up to four intervals
-    ivs = [ClopenInterval(*(x and ends.setdefault(x, x) for x in (iv.lo, iv.hi)))
+    ivs = [_interval(*(ends.setdefault(x, x) for x in (iv.start, iv.end)))
            for _, left, right in _split_lines(text, "->", "'interval -> interval'")
            for iv in (parse_interval(left), parse_interval(right))]
     return build(zip(ivs[::2], ivs[1::2]))

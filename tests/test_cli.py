@@ -1,6 +1,7 @@
 import io
 import random
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,28 @@ def test_integer_arguments_end_in_one_line(argv, exit_code, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(("resource error:", "parse error:"))
     assert "99999" not in err  # the message does not echo a long argument
+
+
+def test_integer_argument_without_a_digit_limit(monkeypatch, capsys):
+    # Python 3.10.0-3.10.6 have no int/str digit limit and no getter for it
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.chdir(DATA)
+    assert run_cli(["dyn", "baire-member", "id.hom", "5x"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("parse error:")
+
+
+def test_check_accepts_an_infinite_mixed_piece(tmp_path, capsys):
+    # both sides of each piece have order type w + 1
+    path = tmp_path / "mixed.hom"
+    path.write_text("[0, w] -> (w, w*2]\n(w, w*2] -> [0, w]\n")
+    assert run_cli(["homeo", "check", str(path)]) == (0, (
+        "[0, 0] -> (w, w + 1]\n"
+        "(0, w] -> (w + 1, w*2]\n"
+        "(w, w + 1] -> [0, 0]\n"
+        "(w + 1, w*2] -> (0, w]\n"
+        "# support w*2\n"))
+    assert capsys.readouterr().err == ""
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):

@@ -28,14 +28,15 @@ from ordhomeo.homeo import (
     invariant_prefix,
     inverse,
     order_of,
-    order_type_label,
+    order_type,
     parse_homeo,
     restrict_to_initial,
     span,
     sup_image,
     swap_points,
 )
-from ordhomeo.ordinals import OMEGA, ONE, ZERO, Ordinal, rank
+from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, diff_exponent,
+                               left_subtract, omega_pow, rank)
 
 from helpers import GRID, o, random_homeo
 
@@ -58,10 +59,11 @@ def shift_up_map() -> PwHomeo:
 
 class TestIntervals:
     def test_order_type_labels(self):
-        assert order_type_label(initial(OMEGA)) == o("w + 1")
-        assert order_type_label(span(ZERO, OMEGA)) == OMEGA
-        assert order_type_label(span(OMEGA, o("w*2"))) == OMEGA
-        assert order_type_label(span(Ordinal(4), Ordinal(5))) == ONE
+        # true order types, which replaced the labels -lo + hi of ]lo, hi]
+        assert order_type(initial(OMEGA)) == o("w + 1")
+        assert order_type(span(ZERO, OMEGA)) == o("w + 1")
+        assert order_type(span(OMEGA, o("w*2"))) == o("w + 1")
+        assert order_type(span(Ordinal(4), Ordinal(5))) == ONE
 
     def test_enum_index(self):
         assert enum_index(span(OMEGA, o("w*2")), ZERO) == o("w + 1")
@@ -103,13 +105,27 @@ class TestBuild:
         assert len(g.pieces) == 3
 
     def test_type_mismatch(self):
-        with pytest.raises(ValidationError, match="order type mismatch"):
-            build([(initial(OMEGA), span(ZERO, OMEGA))])
+        with pytest.raises(ValidationError, match=r"order type mismatch \(w \+ 1 vs w\*2 \+ 1\)"):
+            build([(initial(OMEGA), span(ZERO, o("w*2")))])
 
     def test_infinite_mixed_piece_rejected(self):
-        # labels agree (w + 1 both) yet no order isomorphism exists
+        # [0, w] has order type w + 1 and (0, w + 1] has w + 2
         with pytest.raises(ValidationError, match="order type mismatch"):
             build([(initial(OMEGA), span(ZERO, o("w + 1")))])
+
+    def test_infinite_mixed_pieces_of_equal_order_type(self):
+        # [0, w] and (w, w*2] both have order type w + 1
+        g = build([
+            (initial(OMEGA), span(OMEGA, o("w*2"))),
+            (span(OMEGA, o("w*2")), initial(OMEGA)),
+        ])
+        assert g == build([
+            (initial(ZERO), span(OMEGA, OMEGA + 1)),
+            (span(ZERO, OMEGA), span(OMEGA + 1, o("w*2"))),
+            (span(OMEGA, OMEGA + 1), initial(ZERO)),
+            (span(OMEGA + 1, o("w*2")), span(ZERO, OMEGA)),
+        ])
+        assert len(g.pieces) == 4
 
     def test_gap_detected(self):
         with pytest.raises(ValidationError, match="gap"):
@@ -134,6 +150,27 @@ class TestBuild:
                 (span(ZERO, ONE), initial(ZERO)),
                 (span(ONE, OMEGA), span(ZERO, OMEGA)),
             ])
+
+
+def split_refinement(g: PwHomeo, rng: random.Random) -> list[Piece]:
+    """g's pieces, each split at up to six random interior grid points."""
+    pieces = []
+    for p in g.pieces:
+        cuts = sorted({x for x in rng.sample(GRID, 6)
+                       if p.source.contains(x) and x != p.source.hi})
+        if not cuts or p.source.lo is None and rng.random() < 0.3:
+            pieces.append(p)
+            continue
+        prev = None
+        for cut in cuts + [p.source.hi]:
+            if prev is None:
+                sub = (initial(cut) if p.source.lo is None
+                       else span(p.source.lo, cut))
+            else:
+                sub = span(prev, cut)
+            pieces.append(Piece(sub, homeo._map_sub(p.source, p.target, sub)))
+            prev = cut
+    return pieces
 
 
 class TestCanonicalize:
@@ -192,27 +229,6 @@ class TestCanonicalize:
     def test_canonical_form_is_representation_independent(self):
         # re-present each map with pieces split at arbitrary interior
         # points; rebuilding must land on the identical canonical form
-        from ordhomeo.homeo import _map_sub  # white-box: split helper
-
-        def split_refinement(g, rng):
-            pieces = []
-            for p in g.pieces:
-                cuts = sorted({x for x in rng.sample(GRID, 6)
-                               if p.source.contains(x) and x != p.source.hi})
-                if not cuts or p.source.is_initial and rng.random() < 0.3:
-                    pieces.append(p)
-                    continue
-                prev = None
-                for cut in cuts + [p.source.hi]:
-                    if prev is None:
-                        sub = (initial(cut) if p.source.is_initial
-                               else span(p.source.lo, cut))
-                    else:
-                        sub = span(prev, cut)
-                    pieces.append(Piece(sub, _map_sub(p.source, p.target, sub)))
-                    prev = cut
-            return pieces
-
         rng = random.Random(8)
         for _ in range(60):
             g = random_homeo(rng)
@@ -593,7 +609,7 @@ class TestTextFormat:
     def test_parse_shares_equal_endpoints(self):
         g = parse_homeo(format_homeo(disjoint_swaps(random.Random(23), 40, OMEGA)))
         ends = [x for p in g.pieces for iv in (p.source, p.target)
-                for x in (iv.lo, iv.hi) if x is not None]
+                for x in (iv.start, iv.end)]
         assert len({id(x) for x in ends}) == len(set(ends)) < len(ends) / 3
 
     def test_interval_format(self):
@@ -767,14 +783,14 @@ def restrict_to_initial_ref(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
         if p.source.hi <= alpha:
             kept.append(p)
         elif p.source.contains(alpha):
-            sub = initial(alpha) if p.source.is_initial else span(p.source.lo, alpha)
+            sub = initial(alpha) if p.source.lo is None else span(p.source.lo, alpha)
             kept.append(Piece(sub, homeo._map_sub(p.source, p.target, sub)))
     return build(kept)
 
 
 def lookup_points(g: PwHomeo) -> list[Ordinal]:
     """Each piece's first and last point, the support and above it."""
-    points = [x for p in g.pieces for x in (p.source.first, p.source.hi)]
+    points = [x for p in g.pieces for x in (p.source.start, p.source.hi)]
     return points + [g.support, g.support + ONE, g.support + OMEGA]
 
 
@@ -834,3 +850,186 @@ class TestPieceLookup:
             assert h.support <= star2
             for x in rng.sample(GRID, 20):
                 assert apply(h, x) == (apply(g, x) if x <= star2 else x)
+
+
+# ---------------------------------------------------------------------------
+# the half-open piece algebra against the two-shape bodies it replaced,
+# written on lo/hi ([0, hi] when lo is None, else ]lo, hi]) and kept here
+# as references
+
+
+def enum_index_ref(iv: homeo.ClopenInterval, i: Ordinal) -> Ordinal:
+    x = i if iv.lo is None else iv.lo + (ONE + i)
+    if x > iv.hi:
+        raise DomainError("index out of range")
+    return x
+
+
+def index_of_ref(iv: homeo.ClopenInterval, t: Ordinal) -> Ordinal:
+    assert iv.contains(t)
+    if iv.lo is None:
+        return t
+    s = left_subtract(iv.lo, t)
+    return Ordinal(int(s) - 1) if s.is_finite else s
+
+
+def compatible_ref(src: homeo.ClopenInterval, tgt: homeo.ClopenInterval) -> bool:
+    """Equal labels (hi + 1 for [0, hi], -lo + hi for ]lo, hi]), and
+    finite when the piece is initial on one side only."""
+    la, lb = ((iv.hi + ONE if iv.lo is None else left_subtract(iv.lo, iv.hi))
+              for iv in (src, tgt))
+    if la != lb:
+        return False
+    return la.is_finite or (src.lo is None) == (tgt.lo is None)
+
+
+def canonical_ref(pieces) -> PwHomeo:
+    """Merges target-contiguous neighbours while the labels agree, and
+    re-splits a blocked merge into its first point plus the rest."""
+    def extend(iv, hi):
+        return initial(hi) if iv.lo is None else span(iv.lo, hi)
+
+    ps = sorted(pieces, key=lambda p: p.source.hi)
+    out = []
+    block = ps[0]
+    for q in ps[1:]:
+        if q.target.lo is not None and q.target.lo == block.target.hi:
+            src, tgt = extend(block.source, q.source.hi), extend(block.target, q.target.hi)
+            if compatible_ref(src, tgt):
+                block = Piece(src, tgt)
+            elif src.lo is None:
+                out.append(Piece(initial(ZERO), span(tgt.lo, tgt.lo + ONE)))
+                block = Piece(span(ZERO, src.hi), span(tgt.lo + ONE, tgt.hi))
+            else:
+                out.append(Piece(span(src.lo, src.lo + ONE), initial(ZERO)))
+                block = Piece(span(src.lo + ONE, src.hi), span(ZERO, tgt.hi))
+            continue
+        out.append(block)
+        block = q
+    out.append(block)
+    while out and out[-1].source == out[-1].target:
+        out.pop()
+    assert all(compatible_ref(p.source, p.target) for p in out)
+    return PwHomeo(tuple(out), out[-1].source.hi if out else ZERO)
+
+
+def fix_threshold_ref(src: homeo.ClopenInterval, tgt: homeo.ClopenInterval) -> Ordinal:
+    if src.lo is None:
+        return max(OMEGA, absorb_threshold(tgt.lo))
+    if tgt.lo is None:
+        return max(OMEGA, absorb_threshold(src.lo))
+    return omega_pow(diff_exponent(src.lo, tgt.lo) + ONE)
+
+
+def piece_local_fix_ref(p: Piece):
+    src, tgt = p.source, p.target
+    if src == tgt:
+        return None
+    if src.lo is None and tgt.lo is not None:
+        return src.hi
+    if src.lo is None or tgt.lo is None or tgt.lo < src.lo:
+        return None
+    return min(src.lo + fix_threshold_ref(src, tgt), src.hi)
+
+
+def least_active_above_ref(gs, invs, x: Ordinal):
+    found = []
+    for m in [*gs, *invs]:
+        for p in m.pieces:
+            src, tgt = p.source, p.target
+            if src == tgt:
+                continue
+            if src.lo is None and tgt.lo is not None:
+                y = x + ONE
+                if y <= src.hi:
+                    found.append(y)
+            elif src.lo is not None and tgt.lo is not None and tgt.lo > src.lo:
+                y = max(src.lo, x) + ONE
+                if y <= src.hi and y < src.lo + fix_threshold_ref(src, tgt):
+                    found.append(y)
+    for h in invs:
+        for p in h.pieces:
+            if p.target.hi > p.source.hi:
+                y = max(p.source.hi, x + ONE)
+                if y < p.target.hi:
+                    found.append(y)
+    return min((y for y in found if x < y < x + OMEGA), default=None)
+
+
+def shape_maps() -> list[PwHomeo]:
+    """Random maps, the rotations (infinite runs with a mixed head), the
+    large swap products, and the inverses of all of them."""
+    rng = random.Random(38)
+    maps = [random_homeo(rng, max_moves=6) for _ in range(40)]
+    maps += [rotation_map(s, t) for s in range(3) for t in range(3)]
+    maps += [g for pair in large_map_pairs(rng) for g in pair]
+    return maps + [inverse(g) for g in maps]
+
+
+class TestOneIntervalShape:
+    def test_piece_map_matches_reference(self):
+        for g in shape_maps():
+            for p in g.pieces:
+                src, tgt = p.source, p.target
+                for x in (src.start, src.hi):
+                    i = index_of_ref(src, x)
+                    assert index_of(src, x) == i
+                    assert enum_index(tgt, i) == enum_index_ref(tgt, i)
+                    assert homeo._piece_map(src, tgt, x) == enum_index_ref(tgt, i) == apply(g, x)
+                assert homeo._piece_map(src, tgt, src.end) == tgt.end
+
+    def test_fixed_point_thresholds_match_reference(self):
+        mixed = 0
+        for g in shape_maps():
+            for p in g.pieces:
+                mixed += (p.source.lo is None) != (p.target.lo is None)
+                if p.source != p.target:
+                    assert homeo._fix_threshold(p.source, p.target) == \
+                        fix_threshold_ref(p.source, p.target)
+                assert homeo._piece_local_fix(p) == piece_local_fix_ref(p)
+        assert mixed >= 30
+
+    def test_least_active_point_matches_reference(self):
+        # the stretch map's piece (1, w+5] -> (2, w+5] fixes [w, w+5]
+        stretch = build([
+            (initial(ONE), initial(ONE)),
+            (span(ONE, OMEGA + 5), span(Ordinal(2), OMEGA + 5)),
+            (span(OMEGA + 5, OMEGA + 6), span(ONE, Ordinal(2))),
+            (span(OMEGA + 6, o("w*2")), span(OMEGA + 5, o("w*2"))),
+        ])
+        rng = random.Random(40)
+        maps = [random_homeo(rng, max_moves=6) for _ in range(40)]
+        maps += [rotation_map(s, t) for s in range(3) for t in range(3)]
+        maps += [stretch, shift_up_map()]
+        pairs = [(g, inverse(g)) for g in maps] + [(inverse(g), g) for g in maps]
+        for _ in range(300):
+            gs, invs = zip(*rng.sample(pairs, rng.randint(1, 3)))
+            for x in rng.sample(GRID, 20):
+                assert homeo._least_active_above(gs, invs, x) == \
+                    least_active_above_ref(gs, invs, x)
+
+    def test_canonical_matches_reference_on_split_refinements(self):
+        rng = random.Random(39)
+        for g in shape_maps():
+            if g.is_identity:
+                continue
+            pieces = split_refinement(g, rng)
+            assert homeo._canonical(pieces) == canonical_ref(pieces) == g
+
+
+# ---------------------------------------------------------------------------
+# preimages without the inverse map
+
+
+class TestInverseFreePreimages:
+    def test_preimages_match_the_inverse(self):
+        rng = random.Random(41)
+        cases = [(random_homeo(rng), GRID) for _ in range(100)]
+        for g in shape_maps():
+            points = lookup_points(inverse(g)) + lookup_points(g)
+            cases.append((g, rng.sample(points, min(len(points), 60))))
+        for g, points in cases:
+            ig = inverse(g)
+            for y in points:
+                assert homeo._preimage(g, y) == apply(ig, y)
+                assert homeo._sup_preimage(g, y) == sup_image(ig, y)
