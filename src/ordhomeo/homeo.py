@@ -167,7 +167,7 @@ def _format_piece(p: Piece, unicode: bool = False) -> str:
 class PwHomeo(_Record):
     """Canonical form: pieces sorted by source, no mergeable neighbours,
     no trailing identity piece.  Build one with `build` (or the factory
-    helpers); the constructor trusts its input."""
+    helpers); the constructor trusts its input, `canonicalize` checks it."""
 
     __slots__ = ("pieces", "support")
 
@@ -256,18 +256,13 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
                     Piece(_interval(a1, p.source.end), _interval(c1, p.target.end))]
         else:
             out.append(p)
-    if __debug__:
-        for p in out:
-            assert order_type(p.source) == order_type(p.target), _format_piece(p)
     support = _pred(out[-1].source.end) if out else ZERO
     return PwHomeo(tuple(out), support)
 
 
 def canonicalize(g: PwHomeo) -> PwHomeo:
-    """Idempotent on maps produced by this module."""
-    if not g.pieces:
-        return IDENTITY
-    return _canonical(g.pieces)
+    """g's pieces validated and canonicalized by `build`."""
+    return build(g.pieces)
 
 
 def _locate(g: PwHomeo, x: Ordinal) -> int:

@@ -9,7 +9,7 @@ the ordinal order (the larger leading exponent wins, then the larger
 coefficient, then the rest, and a proper prefix is smaller), so
 comparison and equality are those of the key (a finite value, equal to
 its int, also hashes as it), and the arithmetic below works on keys
-directly.  The one constructor checks the CNF invariants in debug mode.
+directly and keeps them in CNF; `_restore` checks a key from a pickle.
 All values are immutable and hashable, and every operation here is pure.
 
 The package's records (`PointClass` here, most value types of `homeo`,
@@ -140,16 +140,12 @@ class Ordinal:
         return format_ordinal(self)
 
     def __reduce__(self):
-        # copy and pickle cannot restore slots past the blocked __setattr__
-        return _make, (self._key,)
+        return _restore, (self._key,)
 
 
 def _make(key: tuple) -> Ordinal:
     o = object.__new__(Ordinal)
     _set(o, "_key", key)
-    if __debug__:
-        assert all(s[0] > t[0] for s, t in zip(key, key[1:])), "exponents must strictly decrease"
-        assert all(c >= 1 for _, c in key), "coefficients must be positive"
     return o
 
 
@@ -235,6 +231,15 @@ def omega_pow(e: Ordinal, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ordinal:
     if 1 + nesting_depth(e) > depth_cap:
         raise ResourceError(f"exponent tower deeper than {depth_cap}")
     return _make(((e._key, 1),))
+
+
+def _restore(key) -> Ordinal:
+    """The ordinal with this key, rebuilt through the arithmetic for copy
+    and pickle; DomainError unless the key is in CNF."""
+    x = sum((omega_pow(_restore(e)) * c for e, c in key), ZERO)
+    if x._key != key:
+        raise DomainError("ordinal key not in Cantor normal form")
+    return x
 
 
 def rank(x: Ordinal) -> Ordinal:

@@ -8,9 +8,11 @@ independent of the library code it cross-checks.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
-from ordhomeo.homeo import compose, identity, interval_swap, span, swap_points
-from ordhomeo.ordinals import OMEGA, Ordinal, omega_pow, parse_ordinal, rank
+from ordhomeo.homeo import (PwHomeo, compose, format_homeo, identity, interval_swap,
+                            order_type, span, swap_points)
+from ordhomeo.ordinals import OMEGA, ONE, ZERO, Ordinal, classify, omega_pow, parse_ordinal, rank
 
 # ---------------------------------------------------------------------------
 # pair oracle (ordinals below w^2)
@@ -146,3 +148,50 @@ def random_transitivity_problem(rng: random.Random, n_pairs=5, n_frozen=5,
         if f not in xs and f not in ys:
             frozen.add(f)
     return TransitivityProblem(tuple(pairs), frozenset(frozen))
+
+
+# ---------------------------------------------------------------------------
+# canonical form (tests/conftest.py runs this on every map _canonical returns)
+
+
+def check_canonical(g: PwHomeo) -> None:
+    """Raise AssertionError, also under -O, unless g is in the canonical
+    form: every interval nonempty and clopen ([0, hi] or ]lo, hi]); the
+    sources in order, and the targets, each tiling [0, support]; both
+    sides of a piece of one order type; no target-contiguous neighbours
+    but the first point split off an infinite piece that starts at 0 on
+    one side only, which is always split off; no trailing identity piece."""
+    def fail(why: str):
+        raise AssertionError(f"not canonical, {why}:\n{format_homeo(g)}")
+
+    ps = g.pieces
+    if not ps:
+        if g.support != ZERO:
+            fail(f"the identity has support {g.support}")
+        return
+    for side, ivs in (("source", [p.source for p in ps]),
+                      ("target", sorted((p.target for p in ps), key=attrgetter("start")))):
+        end = ZERO
+        for iv in ivs:
+            if not iv.start < iv.end:
+                fail(f"empty {side} [{iv.start}, {iv.end})")
+            if iv.start != end:
+                fail(f"{side}s do not tile in order at {iv.start}")
+            if classify(iv.end).kind != "successor":
+                fail(f"{side} end {iv.end} is not a successor")
+            end = iv.end
+        if end != g.support + ONE:
+            fail(f"{side}s end at {end}, not past the support")
+    for p in ps:
+        if order_type(p.source) != order_type(p.target):
+            fail(f"order types {order_type(p.source)} vs {order_type(p.target)}")
+        if p.source.start.is_zero != p.target.start.is_zero and not order_type(p.source).is_finite:
+            fail("an infinite piece starts at 0 on one side only")
+    for p, q in zip(ps, ps[1:]):
+        split = (p.source.end == p.source.start + ONE
+                 and p.source.start.is_zero != p.target.start.is_zero
+                 and not order_type(q.source).is_finite)
+        if q.target.start == p.target.end and not split:
+            fail(f"unmerged neighbours at source {q.source.start}")
+    if ps[-1].source == ps[-1].target:
+        fail("trailing identity piece")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -38,7 +39,7 @@ from ordhomeo.homeo import (
 from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, diff_exponent,
                                left_subtract, omega_pow, rank)
 
-from helpers import GRID, o, random_homeo
+from helpers import GRID, check_canonical, o, random_homeo
 
 
 def swap_0w() -> PwHomeo:
@@ -234,6 +235,57 @@ class TestCanonicalize:
             g = random_homeo(rng)
             rebuilt = build(split_refinement(g, rng))
             assert rebuilt == g
+
+    def test_canonicalize_validates_a_hand_built_map(self):
+        # the constructor trusts its input; canonicalize runs build's checks
+        bad = PwHomeo((Piece(initial(OMEGA), initial(OMEGA + ONE)),), OMEGA + ONE)
+        with pytest.raises(ValidationError, match="order type mismatch"):
+            canonicalize(bad)
+        loose = PwHomeo((Piece(initial(Ordinal(4)), initial(Ordinal(4))),
+                         Piece(span(Ordinal(4), OMEGA), span(Ordinal(4), OMEGA))), OMEGA)
+        assert canonicalize(loose) == IDENTITY
+        assert canonicalize(PwHomeo(tuple(reversed(swap_0w().pieces)), OMEGA * 2)) == swap_0w()
+
+
+def hand_built(*pieces) -> PwHomeo:
+    """A PwHomeo taken as given, its support read off the last source."""
+    ps = tuple(Piece(*p) for p in pieces)
+    return PwHomeo(ps, ps[-1].source.hi)
+
+
+class TestCanonicalCheck:
+    """check_canonical, which tests/conftest.py runs on every map
+    _canonical returns, rejects each way a map can fail the form."""
+
+    @pytest.mark.parametrize("g, message", [
+        (PwHomeo((), ONE), "the identity has support 1"),
+        (hand_built((homeo._interval(ZERO, OMEGA),) * 2), "source end w is not a successor"),
+        (hand_built((span(ZERO, o("1")), initial(ZERO)), (initial(ZERO), span(ZERO, o("1")))),
+         "sources do not tile in order"),
+        (hand_built((initial(ZERO), span(ZERO, OMEGA)), (span(ZERO, OMEGA), initial(ZERO))),
+         "order types 1 vs w"),
+        (hand_built((initial(ZERO), span(o("1"), o("2"))), (span(ZERO, o("1")), span(o("2"), o("3"))),
+                    (span(o("1"), o("2")), initial(ZERO)), (span(o("2"), o("3")), span(ZERO, o("1")))),
+         "unmerged neighbours at source 1"),
+        (hand_built((initial(OMEGA), span(OMEGA, o("w*2"))), (span(OMEGA, o("w*2")), initial(OMEGA))),
+         "an infinite piece starts at 0 on one side only"),
+        (hand_built(*((p.source, p.target) for p in swap_0w().pieces),
+                    (span(o("w*2"), o("w*3")), span(o("w*2"), o("w*3")))),
+         "trailing identity piece"),
+        (PwHomeo(swap_0w().pieces, o("w*3")), "sources end at w*2 + 1, not past the support"),
+    ])
+    def test_rejects(self, g, message):
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            check_canonical(g)
+
+    def test_accepts_canonical_maps(self):
+        for g in [IDENTITY, swap_0w(), shift_up_map(), inverse(shift_up_map())]:
+            check_canonical(g)
+        # the first point split off an infinite piece is the one allowed
+        # target-contiguous pair
+        g = build([(initial(OMEGA), span(OMEGA, o("w*2"))), (span(OMEGA, o("w*2")), initial(OMEGA))])
+        assert g.pieces[0] == Piece(initial(ZERO), span(OMEGA, OMEGA + 1))
+        check_canonical(g)
 
 
 class TestApplyCompose:

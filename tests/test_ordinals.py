@@ -5,12 +5,16 @@ from functools import cmp_to_key
 
 import pytest
 
+from ordhomeo import homeo, ordinals
 from ordhomeo.errors import DomainError, ParseError, ResourceError
+from ordhomeo.homeo import Piece, initial
 from ordhomeo.ordinals import (
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
+    _restore,
+    _set,
     absorb_threshold,
     cb_rank_segment,
     classify,
@@ -469,12 +473,32 @@ class TestKeyKernel:
         assert equal >= 600
 
     def test_constructor_checks_cnf(self):
-        # the CNF check runs in the one constructor under default flags
-        from ordhomeo.ordinals import _make
+        # a raw key enters only through copy and pickle, whose constructor
+        # _restore checks it in every mode; the last key's exponent is not
+        # in CNF, which the check in _make never looked at
         w = OMEGA._key
-        for key in [((w, 1), (w, 2)), (((), 1), (w, 1)), ((w, 0),), ((w, 1), ((), 0))]:
-            with pytest.raises(AssertionError):
-                _make(key)
+        for key in [((w, 1), (w, 2)), (((), 1), (w, 1)), ((w, 0),), ((w, 1), ((), 0)),
+                    ((((w, 1), (w, 2)), 1),)]:
+            with pytest.raises(DomainError):
+                _restore(key)
+
+    def test_unpickling_a_bad_key_is_refused(self):
+        bad = object.__new__(Ordinal)
+        _set(bad, "_key", ((OMEGA._key, 1), (OMEGA._key, 2)))
+        data = pickle.dumps(bad)
+        with pytest.raises(DomainError):
+            pickle.loads(data)
+        with pytest.raises(DomainError):
+            copy.copy(bad)
+
+    def test_the_suite_checks_every_key_and_map(self):
+        # tests/conftest.py installs the checked _make before homeo binds it
+        # and wraps homeo._canonical; both raise also under -O
+        assert homeo._make is ordinals._make
+        with pytest.raises(AssertionError, match="strictly decrease"):
+            ordinals._make(((OMEGA._key, 1), (OMEGA._key, 2)))
+        with pytest.raises(AssertionError, match="not canonical"):
+            homeo._canonical([Piece(initial(OMEGA), initial(OMEGA + ONE))])
 
 
 @pytest.mark.parametrize("n", [0, 3, 10**30])
