@@ -6,6 +6,14 @@ go to stdout, errors to stderr.  Exit codes: 0 success, 1 domain or
 precondition error, 2 parse error, 3 resource cap, 4 internal error
 (a broken invariant, reported in one line).
 
+Each command is one row of `_COMMANDS`: its arguments, each with the
+loader that turns its text into a value, and a runner that computes the
+result from the loaded values.  The argparse tree is built from the
+table, the arguments are loaded in table order, and `_render` formats the
+result by its type.  Runners reach the library through the package's
+lazy exports, so a command loads only what it runs: `ord` never compiles
+`homeo`, `dynamics` or `sieve`.
+
 Output is deterministic (no timestamps, stable ordering) and uses the
 same grammars the inputs do, so emitted ordinals, maps, and constraint
 systems re-parse to themselves.  ASCII "w" denotes the first infinite
@@ -14,14 +22,17 @@ ordinal everywhere; --unicode switches the display only.
 
 import argparse
 import sys
+from functools import reduce
 from pathlib import Path
+
+import ordhomeo as O
 
 from .errors import ContractError, DomainError, ParseError, ResourceError
 
-# Each runner imports its group's modules itself, so a command loads
-# only what it runs: `ord` never compiles `homeo`, `dynamics` or `sieve`.
-
 _DEMO_CAP = 10_000  # most terms `dyn demo-discontinuity` prints
+
+
+# loaders: an argument's text -> its value
 
 
 def _read(path: str) -> str:
@@ -31,14 +42,18 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _load_homeo(path: str):
-    from .homeo import parse_homeo
-    return parse_homeo(_read(path))
+def _ordinal(text: str):
+    return O.parse_ordinal(text)
 
 
-def _load_constraints(path: str):
-    from .sieve import parse_constraints
-    return parse_constraints(_read(path))
+def _file(parser: str):
+    """The loader of a file argument: the package's `parser` on its text."""
+    return lambda path: getattr(O, parser)(_read(path))
+
+
+_map = _file("parse_homeo")
+_constraints = _file("parse_constraints")
+_injection = _file("parse_injection")
 
 
 def _positive_int(text: str) -> int:
@@ -55,247 +70,167 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _pair(text: str):
+    if "->" not in text:
+        raise ParseError(f"expected 'x -> y', got {text!r}")
+    left, _, right = text.partition("->")
+    return O.parse_ordinal(left), O.parse_ordinal(right)
+
+
+# runners whose compute step is more than one library call
+
+
+def _class(x):
+    c = O.classify(x)
+    return ("successor(", c.predecessor, ")") if c.kind == "successor" else c.kind
+
+
+def _roelcke(g, points):
+    cert = O.roelcke_decompose(g, points)
+    sigma = " ".join(f"{i + 1}->{j + 1}" for i, j in cert.sigma) or "{}"
+    return [f"sigma: {sigma}", "# u", cert.u, "# h", cert.h, "# u'", cert.u_prime]
+
+
+def _dense(g, targets, family):
+    h, k = O.dense_approx(g, targets, family)
+    alpha = O.invariant_point(g, max(targets) + O.ONE if targets else O.ONE)
+    return [("# alpha ", alpha), "# h", h, "# k", k]
+
+
+def _demo(count: int):
+    if count > _DEMO_CAP:
+        raise ResourceError(f"demo-discontinuity limited to {_DEMO_CAP} terms")
+    return [(f"{n} ", O.apply(O.discontinuity_sequence(n), O.Ordinal(n)))
+            for n in range(1, count + 1)]
+
+
+def _match(cs):
+    witness = O.satisfiable(cs)
+    return "unsatisfiable" if witness is None else witness
+
+
+def _contains(a, b):
+    if O.satisfiable(a) is None:
+        print("left side is unsatisfiable; inclusion is vacuous", file=sys.stderr)
+    return O.contains(a, b)
+
+
+def _chain(systems):
+    limit, witness = O.chain_limit(systems)
+    return ["# limit", limit, "# witness", witness]
+
+
+# group -> (help, {command -> (arguments, runner)}).  An argument is
+# (name, loader) or (name, loader, help): a plain name takes one value,
+# NAME+ one or more, and --NAME is an option that may repeat.  The runner
+# takes the loaded values in table order (the order the loaders run in,
+# which argparse's own positional/option split does not constrain).
+_COMMANDS = {
+    "ord": ("ordinal calculator", {
+        "eval": ([("expr", _ordinal)], lambda x: x),
+        "cmp": ([("left", _ordinal), ("right", _ordinal)], lambda a, b: O.compare(a, b)),
+        "sub": ([("left", _ordinal), ("right", _ordinal)], lambda a, b: O.left_subtract(a, b)),
+        "rank": ([("expr", _ordinal)], lambda x: O.rank(x)),
+        "class": ([("expr", _ordinal)], _class),
+        "cbrank": ([("expr", _ordinal)], lambda x: O.cb_rank_segment(x)),
+    }),
+    "homeo": ("piecewise homeomorphisms", {
+        "check": ([("file", _map)], lambda g: g),
+        "apply": ([("file", _map), ("point", _ordinal)], lambda g, x: O.apply(g, x)),
+        "compose": ([("file+", _map, "application order: rightmost applied first")],
+                    lambda maps: reduce(lambda g, h: O.compose(h, g), reversed(maps))),
+        "invert": ([("file", _map)], lambda g: O.inverse(g)),
+        "order": ([("file", _map)], lambda g: O.order_of(g) or "cap-exceeded"),
+        "fix": ([("file", _map)], lambda g: O.fixed_points(g)),
+        "common-fix": ([("file+", _map)], lambda maps: O.common_fixed_points(maps)),
+        "fixpoint-above": ([("bound", _ordinal), ("file+", _map)],
+                           lambda bound, maps: O.find_fixed_point_above(maps, bound)),
+        "invariant-prefix": ([("file", _map), ("bound", _ordinal)],
+                             lambda g, bound: O.invariant_prefix(g, bound)),
+        "invariant-point": ([("file", _map), ("bound", _ordinal)],
+                            lambda g, bound: O.invariant_point(g, bound)),
+    }),
+    "dyn": ("dynamical constructions", {
+        "transitive": ([("PAIR+", _pair, "'x -> y'"), ("--frozen", _ordinal)],
+                       lambda pairs, frozen: O.make_transitive(
+                           O.TransitivityProblem(tuple(pairs), frozenset(frozen)))),
+        "roelcke": ([("file", _map), ("point+", _ordinal)], _roelcke),
+        "dense": ([("file", _map), ("--target", _ordinal), ("--family", _ordinal)], _dense),
+        "baire-member": ([("file", _map), ("n", _positive_int)],
+                         lambda g, n: O.in_baire_T(g, n)),
+        "baire-witness": ([("file", _map), ("--constraint", _ordinal), ("n", _positive_int)],
+                          lambda g, constraints, n: O.baire_density_witness(g, n, constraints)),
+        "demo-discontinuity": ([("n", _positive_int)], _demo),
+    }),
+    "sieve": ("constraint systems", {
+        "normalize": ([("file", _constraints)], lambda cs: O.normalize(cs)),
+        "hall": ([("file", _constraints)], lambda cs: O.hall_brute(cs)),
+        "match": ([("file", _constraints)], _match),
+        "contains": ([("left", _constraints), ("right", _constraints)], _contains),
+        "chain": ([("file+", _constraints)], _chain),
+        "extend": ([("file", _injection)], lambda h: O.extend_to_permutation(h)),
+    }),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ordhomeo")
     top.add_argument("--unicode", action="store_true",
                      help="display the first infinite ordinal as ω")
     groups = top.add_subparsers(dest="group", required=True)
-
-    g_ord = groups.add_parser("ord", help="ordinal calculator")
-    s = g_ord.add_subparsers(dest="command", required=True)
-    s.add_parser("eval").add_argument("expr")
-    p = s.add_parser("cmp")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = s.add_parser("sub")
-    p.add_argument("left")
-    p.add_argument("right")
-    s.add_parser("rank").add_argument("expr")
-    s.add_parser("class").add_argument("expr")
-    s.add_parser("cbrank").add_argument("expr")
-
-    g_homeo = groups.add_parser("homeo", help="piecewise homeomorphisms")
-    s = g_homeo.add_subparsers(dest="command", required=True)
-    s.add_parser("check").add_argument("file")
-    p = s.add_parser("apply")
-    p.add_argument("file")
-    p.add_argument("point")
-    p = s.add_parser("compose")
-    p.add_argument("files", nargs="+", metavar="file",
-                   help="application order: rightmost applied first")
-    s.add_parser("invert").add_argument("file")
-    s.add_parser("order").add_argument("file")
-    s.add_parser("fix").add_argument("file")
-    s.add_parser("common-fix").add_argument("files", nargs="+", metavar="file")
-    p = s.add_parser("fixpoint-above")
-    p.add_argument("bound")
-    p.add_argument("files", nargs="+", metavar="file")
-    p = s.add_parser("invariant-prefix")
-    p.add_argument("file")
-    p.add_argument("bound")
-    p = s.add_parser("invariant-point")
-    p.add_argument("file")
-    p.add_argument("bound")
-
-    g_dyn = groups.add_parser("dyn", help="dynamical constructions")
-    s = g_dyn.add_subparsers(dest="command", required=True)
-    p = s.add_parser("transitive")
-    p.add_argument("--frozen", action="append", default=[], metavar="EXPR")
-    p.add_argument("pairs", nargs="+", metavar="PAIR", help="'x -> y'")
-    p = s.add_parser("roelcke")
-    p.add_argument("file")
-    p.add_argument("points", nargs="+", metavar="point")
-    p = s.add_parser("dense")
-    p.add_argument("file")
-    p.add_argument("--target", action="append", default=[], metavar="EXPR")
-    p.add_argument("--family", action="append", default=[], metavar="EXPR")
-    p = s.add_parser("baire-member")
-    p.add_argument("file")
-    p.add_argument("n")
-    p = s.add_parser("baire-witness")
-    p.add_argument("file")
-    p.add_argument("n")
-    p.add_argument("--constraint", action="append", default=[], metavar="EXPR")
-    s.add_parser("demo-discontinuity").add_argument("n")
-
-    g_sieve = groups.add_parser("sieve", help="constraint systems")
-    s = g_sieve.add_subparsers(dest="command", required=True)
-    s.add_parser("normalize").add_argument("file")
-    s.add_parser("hall").add_argument("file")
-    s.add_parser("match").add_argument("file")
-    p = s.add_parser("contains")
-    p.add_argument("left")
-    p.add_argument("right")
-    s.add_parser("chain").add_argument("files", nargs="+", metavar="file")
-    s.add_parser("extend").add_argument("file")
+    for group, (group_help, commands) in _COMMANDS.items():
+        subparsers = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="command", required=True)
+        for command, (arguments, _) in commands.items():
+            parser = subparsers.add_parser(command)
+            for name, _, *doc in arguments:
+                shape = ({"action": "append", "default": [], "metavar": "EXPR"}
+                         if name.startswith("--") else {"nargs": "+"} if name[-1] == "+" else {})
+                parser.add_argument(name.rstrip("+"), help=doc[0] if doc else None, **shape)
     return top
 
 
-def _run_ord(args, out, uni: bool) -> None:
-    from .ordinals import (cb_rank_segment, classify, compare, format_ordinal,
-                           left_subtract, parse_ordinal, rank)
-
-    if args.command == "eval":
-        print(format_ordinal(parse_ordinal(args.expr), uni), file=out)
-    elif args.command == "cmp":
-        print(compare(parse_ordinal(args.left), parse_ordinal(args.right)), file=out)
-    elif args.command == "sub":
-        a, b = parse_ordinal(args.left), parse_ordinal(args.right)
-        print(format_ordinal(left_subtract(a, b), uni), file=out)
-    elif args.command == "rank":
-        print(format_ordinal(rank(parse_ordinal(args.expr)), uni), file=out)
-    elif args.command == "class":
-        c = classify(parse_ordinal(args.expr))
-        if c.kind == "successor":
-            print(f"successor({format_ordinal(c.predecessor, uni)})", file=out)
-        else:
-            print(c.kind, file=out)
-    elif args.command == "cbrank":
-        print(format_ordinal(cb_rank_segment(parse_ordinal(args.expr)), uni), file=out)
+def _load(args, arguments) -> list:
+    """Each argument's value through its loader, in table order; an
+    argument that takes several values loads to a list."""
+    values = []
+    for name, loader, *_ in arguments:
+        text = getattr(args, name.strip("-+"))
+        values.append([loader(t) for t in text] if isinstance(text, list) else loader(text))
+    return values
 
 
-def _run_homeo(args, out, uni: bool) -> None:
-    from .homeo import (apply, common_fixed_points, compose, find_fixed_point_above,
-                        fixed_points, format_homeo, format_ordinal_set,
-                        invariant_point, invariant_prefix, inverse, order_of)
-    from .ordinals import format_ordinal, parse_ordinal
-
-    if args.command == "check":
-        print(format_homeo(_load_homeo(args.file), uni), end="", file=out)
-    elif args.command == "apply":
-        g = _load_homeo(args.file)
-        print(format_ordinal(apply(g, parse_ordinal(args.point)), uni), file=out)
-    elif args.command == "compose":
-        maps = [_load_homeo(f) for f in args.files]
-        g = maps[-1]
-        for h in reversed(maps[:-1]):
-            g = compose(h, g)
-        print(format_homeo(g, uni), end="", file=out)
-    elif args.command == "invert":
-        print(format_homeo(inverse(_load_homeo(args.file)), uni), end="", file=out)
-    elif args.command == "order":
-        n = order_of(_load_homeo(args.file))
-        print("cap-exceeded" if n is None else n, file=out)
-    elif args.command == "fix":
-        print(format_ordinal_set(fixed_points(_load_homeo(args.file)), uni), file=out)
-    elif args.command == "common-fix":
-        s = common_fixed_points([_load_homeo(f) for f in args.files])
-        print(format_ordinal_set(s, uni), file=out)
-    elif args.command == "fixpoint-above":
-        gs = [_load_homeo(f) for f in args.files]
-        beta = find_fixed_point_above(gs, parse_ordinal(args.bound))
-        print(format_ordinal(beta, uni), file=out)
-    elif args.command == "invariant-prefix":
-        g = _load_homeo(args.file)
-        print(format_ordinal(invariant_prefix(g, parse_ordinal(args.bound)), uni), file=out)
-    elif args.command == "invariant-point":
-        g = _load_homeo(args.file)
-        print(format_ordinal(invariant_point(g, parse_ordinal(args.bound)), uni), file=out)
+# result type name -> the package's formatter for it (by name, so that
+# rendering an ordinal does not import the modules of the other types)
+_FORMATTERS = {"Ordinal": "format_ordinal", "OrdinalSet": "format_ordinal_set",
+               "PwHomeo": "format_homeo", "ConstraintSystem": "format_constraints",
+               "PartialInjection": "format_injection",
+               "FinitePermutation": "format_permutation"}
 
 
-def _parse_pair(text: str):
-    from .ordinals import parse_ordinal
-
-    if "->" not in text:
-        raise ParseError(f"expected 'x -> y', got {text!r}")
-    left, _, right = text.partition("->")
-    return parse_ordinal(left), parse_ordinal(right)
-
-
-def _run_dyn(args, out, uni: bool) -> None:
-    from .dynamics import (TransitivityProblem, baire_density_witness, dense_approx,
-                           discontinuity_sequence, in_baire_T, make_transitive,
-                           roelcke_decompose)
-    from .homeo import apply, format_homeo, invariant_point
-    from .ordinals import Ordinal, format_ordinal, parse_ordinal
-
-    if args.command == "transitive":
-        pairs = tuple(_parse_pair(p) for p in args.pairs)
-        frozen = frozenset(parse_ordinal(f) for f in args.frozen)
-        g = make_transitive(TransitivityProblem(pairs, frozen))
-        print(format_homeo(g, uni), end="", file=out)
-    elif args.command == "roelcke":
-        g = _load_homeo(args.file)
-        points = [parse_ordinal(p) for p in args.points]
-        cert = roelcke_decompose(g, points)
-        if cert.sigma:
-            body = " ".join(f"{i + 1}->{j + 1}" for i, j in cert.sigma)
-        else:
-            body = "{}"
-        print(f"sigma: {body}", file=out)
-        for name, part in (("u", cert.u), ("h", cert.h), ("u'", cert.u_prime)):
-            print(f"# {name}", file=out)
-            print(format_homeo(part, uni), end="", file=out)
-    elif args.command == "dense":
-        g = _load_homeo(args.file)
-        targets = [parse_ordinal(t) for t in args.target]
-        family = [parse_ordinal(f) for f in args.family]
-        h, k = dense_approx(g, targets, family)
-        alpha = invariant_point(g, max(targets) + Ordinal(1) if targets else Ordinal(1))
-        print(f"# alpha {format_ordinal(alpha, uni)}", file=out)
-        print("# h", file=out)
-        print(format_homeo(h, uni), end="", file=out)
-        print("# k", file=out)
-        print(format_homeo(k, uni), end="", file=out)
-    elif args.command == "baire-member":
-        g = _load_homeo(args.file)
-        print("true" if in_baire_T(g, _positive_int(args.n)) else "false", file=out)
-    elif args.command == "baire-witness":
-        g = _load_homeo(args.file)
-        constraints = [parse_ordinal(c) for c in args.constraint]
-        h = baire_density_witness(g, _positive_int(args.n), constraints)
-        print(format_homeo(h, uni), end="", file=out)
-    elif args.command == "demo-discontinuity":
-        count = _positive_int(args.n)
-        if count > _DEMO_CAP:
-            raise ResourceError(f"demo-discontinuity limited to {_DEMO_CAP} terms")
-        for n in range(1, count + 1):
-            g = discontinuity_sequence(n)
-            print(f"{n} {format_ordinal(apply(g, Ordinal(n)), uni)}", file=out)
-
-
-def _run_sieve(args, out, uni: bool) -> None:
-    from .sieve import (chain_limit, contains, extend_to_permutation, format_constraints,
-                        format_injection, format_permutation, hall_brute, normalize,
-                        parse_injection, satisfiable)
-
-    if args.command == "normalize":
-        system = normalize(_load_constraints(args.file))
-        print(format_constraints(system, uni), end="", file=out)
-    elif args.command == "hall":
-        print("true" if hall_brute(_load_constraints(args.file)) else "false", file=out)
-    elif args.command == "match":
-        witness = satisfiable(_load_constraints(args.file))
-        if witness is None:
-            print("unsatisfiable", file=out)
-        else:
-            print(format_injection(witness, uni), end="", file=out)
-    elif args.command == "contains":
-        a = _load_constraints(args.left)
-        b = _load_constraints(args.right)
-        if satisfiable(a) is None:
-            print("left side is unsatisfiable; inclusion is vacuous", file=sys.stderr)
-        print("true" if contains(a, b) else "false", file=out)
-    elif args.command == "chain":
-        chain = [_load_constraints(f) for f in args.files]
-        limit, witness = chain_limit(chain)
-        print("# limit", file=out)
-        print(format_constraints(limit, uni), end="", file=out)
-        print("# witness", file=out)
-        print(format_injection(witness, uni), end="", file=out)
-    elif args.command == "extend":
-        h = parse_injection(_read(args.file))
-        print(format_permutation(extend_to_permutation(h), uni), end="", file=out)
+def _render(result, uni: bool) -> str:
+    """The printed text of a runner's result, chosen by its type: a value
+    through its formatter, a bool as true/false, str and int as they are,
+    a list part after part, and a tuple as one line of its parts."""
+    if isinstance(result, list):
+        return "".join(_render(part, uni) for part in result)
+    if isinstance(result, tuple):
+        return "".join(_render(part, uni)[:-1] for part in result) + "\n"
+    if isinstance(result, bool):
+        text = "true" if result else "false"
+    elif type(result).__name__ in _FORMATTERS:
+        text = getattr(O, _FORMATTERS[type(result).__name__])(result, uni)
+    else:
+        text = str(result)
+    return text if text.endswith("\n") else text + "\n"
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    runner = {"ord": _run_ord, "homeo": _run_homeo,
-              "dyn": _run_dyn, "sieve": _run_sieve}[args.group]
+    args = _build_parser().parse_args(argv)
+    arguments, runner = _COMMANDS[args.group][1][args.command]
     try:
-        runner(args, out, args.unicode)
+        out.write(_render(runner(*_load(args, arguments)), args.unicode))
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -86,8 +86,8 @@ class ClopenInterval(_Record):
     def __repr__(self) -> str:
         return f"ClopenInterval(lo={self.lo!r}, hi={self.hi!r})"
 
-    def __reduce__(self):
-        return _interval, (self.start, self.end)
+    def __reduce__(self):  # through the check for an empty interval
+        return ClopenInterval, (self.lo, self.hi)
 
 
 def _interval(start: Ordinal, end: Ordinal) -> ClopenInterval:
@@ -167,13 +167,17 @@ def _format_piece(p: Piece, unicode: bool = False) -> str:
 class PwHomeo(_Record):
     """Canonical form: pieces sorted by source, no mergeable neighbours,
     no trailing identity piece.  Build one with `build` (or the factory
-    helpers); the constructor trusts its input, `canonicalize` checks it."""
+    helpers); the constructor trusts its input, while `canonicalize` and
+    unpickling go through `build`."""
 
     __slots__ = ("pieces", "support")
 
     def __init__(self, pieces: tuple[Piece, ...], support: Ordinal):
         _set(self, "pieces", pieces)
         _set(self, "support", support)
+
+    def __reduce__(self):
+        return build, (self.pieces,)
 
     @property
     def is_identity(self) -> bool:

@@ -161,9 +161,33 @@ def test_check_accepts_an_infinite_mixed_piece(tmp_path, capsys):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(args, out, uni):
+    def broken(x):
         raise ContractError("an invariant failed")
 
-    monkeypatch.setattr(cli, "_run_ord", broken)
+    commands = cli._COMMANDS["ord"][1]
+    monkeypatch.setitem(commands, "eval", (commands["eval"][0], broken))
     assert run_cli(["ord", "eval", "1"]) == (4, "")
     assert capsys.readouterr().err == "internal error: an invariant failed\n"
+
+
+TRANS1W1 = "[0, 0] -> [0, 0]\n(0, 1] -> (w, w + 1]\n(1, w] -> (1, w]\n(w, w + 1] -> (0, 1]\n"
+
+
+@pytest.mark.parametrize("options,expected", [
+    pytest.param(["--constraint", "5"], "# identity\n# support 0\n", id="5"),
+    # 1 and its image w + 1 are kept, so the witness moves 2 instead: g itself
+    pytest.param(["--constraint", "1"], TRANS1W1 + "# support w + 1\n", id="1"),
+    pytest.param(["--constraint", "5", "--constraint", "1"], TRANS1W1 + "# support w + 1\n",
+                 id="5-and-1"),
+])
+def test_baire_witness_keeps_its_constraint_points(options, expected, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    assert run_cli(["dyn", "baire-witness", "trans1w1.hom", "1"] + options) == (0, expected)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_bad_constraint_is_a_parse_error(monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    argv = ["dyn", "baire-witness", "trans1w1.hom", "1", "--constraint", "w^^2"]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("parse error:")

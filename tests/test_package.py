@@ -13,7 +13,7 @@ import pytest
 
 import ordhomeo
 from ordhomeo.dynamics import TransitivityProblem
-from ordhomeo.errors import ParseError
+from ordhomeo.errors import DomainError, ParseError, ValidationError
 from ordhomeo.homeo import (ClopenInterval, OrdinalSet, Piece, PwHomeo, initial, parse_homeo,
                            span)
 from ordhomeo.ordinals import OMEGA, ONE, ZERO, PointClass, _set, parse_ordinal
@@ -116,8 +116,8 @@ def _records():
     record type replaced) per record type."""
     o = parse_ordinal
 
-    def pieces():
-        return (Piece(initial(ZERO), initial(ZERO)), Piece(span(ZERO, OMEGA), span(ZERO, OMEGA)))
+    def pieces():  # the swap of [0, 0] and (0, 1], canonical as unpickling requires
+        return (Piece(initial(ZERO), span(ZERO, ONE)), Piece(span(ZERO, ONE), initial(ZERO)))
 
     return [
         (lambda: PointClass("successor", o("w + 2")),
@@ -125,10 +125,10 @@ def _records():
         (lambda: ClopenInterval(None, o("w")), "ClopenInterval(lo=None, hi=w)"),
         (lambda: Piece(span(o("w"), o("w*2")), initial(ONE)),
          "Piece(source=ClopenInterval(lo=w, hi=w*2), target=ClopenInterval(lo=None, hi=1))"),
-        (lambda: PwHomeo(pieces(), OMEGA),
+        (lambda: PwHomeo(pieces(), ONE),
          "PwHomeo(pieces=(Piece(source=ClopenInterval(lo=None, hi=0), "
-         "target=ClopenInterval(lo=None, hi=0)), Piece(source=ClopenInterval(lo=0, hi=w), "
-         "target=ClopenInterval(lo=0, hi=w))), support=w)"),
+         "target=ClopenInterval(lo=0, hi=1)), Piece(source=ClopenInterval(lo=0, hi=1), "
+         "target=ClopenInterval(lo=None, hi=0))), support=1)"),
         (lambda: OrdinalSet(((ZERO, ZERO),), o("w*2")),
          "OrdinalSet(intervals=((0, 0),), tail_from=w*2)"),
         (lambda: ConstraintSystem(((ONE, frozenset([OMEGA])),)),
@@ -176,6 +176,24 @@ def test_record_copies_and_pickles(make, text):
     a = make()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a) and repr(b) == text
+
+
+def test_unpickling_a_map_goes_through_build():
+    w = OMEGA
+    broken = PwHomeo((Piece(initial(w), initial(w + ONE)),), w + ONE)  # order types differ
+    with pytest.raises(ValidationError):
+        pickle.loads(pickle.dumps(broken))
+    not_canonical = PwHomeo((Piece(initial(ZERO), initial(ZERO)),), ZERO)  # an identity piece
+    assert pickle.loads(pickle.dumps(not_canonical)) == PwHomeo((), ZERO)
+
+
+def test_unpickling_an_empty_interval_is_refused():
+    empty = object.__new__(ClopenInterval)  # skips the constructor's check
+    _set(empty, "start", OMEGA * 2 + ONE)
+    _set(empty, "end", OMEGA + ONE)
+    assert empty.__reduce__() == (ClopenInterval, (OMEGA * 2, OMEGA))
+    with pytest.raises(DomainError):
+        pickle.loads(pickle.dumps(empty))
 
 
 # ---------------------------------------------------------------------------
