@@ -20,8 +20,11 @@ intervals plus an unbounded tail, via the absorption law for the starts
 a, c of a piece:  a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
 `compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons.
-`apply`, `sup_image`, `invariant_prefix` and `restrict_to_initial` find
-a point's piece through one linear scan, `_locate`, that stops there.
+`apply`, `sup_image` and `restrict_to_initial` find a point's piece
+through one linear scan, `_locate`, that stops there.  The fixed-point
+solvers and `fixed_points` walk runs instead, `_runs`: the points of
+each piece that meet one closed-form condition, read lazily, in order,
+until every map's runs meet.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContractError, DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .ordinals import (
     OMEGA,
     ONE,
@@ -48,9 +51,6 @@ from .ordinals import (
     parse_ordinal,
     rank,
 )
-
-_ITERATION_CAP = 1000
-
 
 # ---------------------------------------------------------------------------
 # clopen intervals
@@ -507,13 +507,7 @@ def fixed_points(g: PwHomeo) -> OrdinalSet:
     if g.is_identity:
         # everything: the degenerate interval {0} plus the tail past 0
         return OrdinalSet.from_parts([(ZERO, ZERO)], ZERO)
-    parts = []
-    for p in g.pieces:
-        src, tgt = p.source, p.target
-        x0 = src.start if src == tgt else src.start + _fix_threshold(src, tgt)
-        if x0 < src.end:
-            parts.append((x0, src.hi))
-    return OrdinalSet.from_parts(parts, g.support)
+    return OrdinalSet.from_parts([*_runs(g, fixed=True)][:-1], g.support)
 
 
 def common_fixed_points(gs: Sequence[PwHomeo]) -> OrdinalSet:
@@ -532,112 +526,87 @@ def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     return _pred(max([_image(g, i, alpha) + ONE] + [p.target.end for p in g.pieces[:i]]))
 
 
-def _piece_local_fix(p: Piece) -> Optional[Ordinal]:
-    """Least x in the piece from which the piece no longer pushes
-    upward, or the piece end when there is no such interior point;
-    None for pieces that never push upward."""
-    src, tgt = p.source, p.target
-    if not src.start < tgt.start:
-        return None
-    return min(src.start + _fix_threshold(src, tgt), src.hi)
+# The target end's CNF key, which sorts as the ordinal does, compared in C.
+_target_end_key = attrgetter("target.end._key")
+
+
+def _runs(g: PwHomeo, inverted: bool = False, fixed: bool = False):
+    """The points a with h([0, a]) contained in [0, a], or with h(a) = a
+    if fixed, for h = g or its inverse, as increasing closed runs
+    (lo, hi): at most one per piece, then the unbounded (support + 1,
+    None), (0, None) for the identity.  For a in a piece [s, e) -> [c, f)
+    of h, taken in source order, h(a) = a exactly when c = s or
+    a >= s + _fix_threshold, and h(a) <= a exactly when c < s or h(a) = a;
+    h([0, a]) lies in [0, a] exactly when h(a) <= a and a is at or above
+    the last point of every earlier piece's target.  The inverse's pieces
+    are g's with the sides swapped, in target order: a tiling, if not a
+    canonical one, which is all the rule needs."""
+    pieces = sorted(g.pieces, key=_target_end_key) if inverted else g.pieces
+    top = end = ZERO  # the highest earlier target end (0 if fixed), the last source end
+    for p in pieces:
+        src, tgt = (p.target, p.source) if inverted else (p.source, p.target)
+        end = src.end
+        if top <= end:  # else an earlier target ends above every point here
+            lo = src.start
+            if tgt.start > lo or (fixed and tgt.start != lo):
+                lo += _fix_threshold(src, tgt)
+            if top > lo:
+                lo = _pred(top)
+            if lo < end:
+                yield lo, src.hi
+        if not fixed and tgt.end > top:
+            top = tgt.end
+    yield end, None
+
+
+def _least_limit(x: Ordinal) -> Ordinal:
+    """Least limit >= x, for x > 0: x less its finite part, plus w."""
+    key = x._key
+    return x if key[-1][0] else _make(key[:-1]) + OMEGA
+
+
+def _least_common(streams, x: Ordinal, limits: bool = False) -> Ordinal:
+    """Least point >= x (least limit, if limits) in a run of every
+    stream of runs.  Each pass skips the runs that end below x, then
+    returns x or raises it to the highest run start; every pass after
+    the first returns or moves some stream to a later run, so the loop
+    ends within as many passes as the streams hold runs."""
+    runs = [next(s) for s in streams]
+    while True:
+        if limits:
+            x = _least_limit(x)
+        for k, s in enumerate(streams):
+            while runs[k][1] is not None and runs[k][1] < x:
+                runs[k] = next(s)
+        top = max(lo for lo, _ in runs)
+        if top <= x:
+            return x
+        x = top
 
 
 def invariant_prefix(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     """Least alpha* >= alpha with g([0, alpha*]) contained in
-    [0, alpha*].  Iterates alpha -> sup_image, jumping over the interior
-    of a driving piece straight to its local solution."""
-    cur = alpha
-    for _ in range(_ITERATION_CAP):
-        s = sup_image(g, cur)
-        if s <= cur:
-            return cur
-        nxt = s
-        i = _locate(g, cur)
-        if i < len(g.pieces) and cur < g.pieces[i].source.hi and _image(g, i, cur) == s:
-            jump = _piece_local_fix(g.pieces[i])
-            if jump is not None and jump > nxt:
-                nxt = jump
-        cur = nxt
-    raise ContractError("invariant_prefix failed to stabilise")
+    [0, alpha*]: the first run of g at or above alpha."""
+    return _least_common([_runs(g)], alpha)
 
 
 def invariant_point(g: PwHomeo, alpha: Ordinal) -> Ordinal:
-    """Least alpha* >= alpha with g([0, alpha*]) = [0, alpha*]."""
-    ig = inverse(g)
-    cur = alpha
-    for _ in range(_ITERATION_CAP):
-        a1 = invariant_prefix(g, cur)
-        a2 = invariant_prefix(ig, a1)
-        if a2 == a1:
-            return a1
-        cur = a2
-    raise ContractError("invariant_point failed to stabilise")
-
-
-def _least_active_above(gs: Sequence[PwHomeo], invs: Sequence[PwHomeo],
-                        x: Ordinal) -> Optional[Ordinal]:
-    """Least y in ]x, x + w[ where the fixed-point iteration step map
-    exceeds y: some g moves y up, or some g maps a point above y into
-    [0, y] (seen through the inverse's full-piece pulls)."""
-    bound = x + OMEGA
-    best: Optional[Ordinal] = None
-
-    def offer(y: Ordinal):
-        nonlocal best
-        if x < y < bound and (best is None or y < best):
-            best = y
-
-    def pointwise_up(m: PwHomeo):
-        for p in m.pieces:
-            src, tgt = p.source, p.target
-            if src.start < tgt.start:
-                y = max(src.start, x + ONE)
-                if y < src.end and y < src.start + _fix_threshold(src, tgt):
-                    offer(y)
-
-    for g in gs:
-        pointwise_up(g)
-    for h in invs:
-        pointwise_up(h)
-        for p in h.pieces:
-            if p.target.end > p.source.end:
-                y = max(p.source.hi, x + ONE)
-                if y < p.target.hi:
-                    offer(y)
-    return best
+    """Least alpha* >= alpha with g([0, alpha*]) = [0, alpha*]: the
+    least point >= alpha in a run of g and in a run of its inverse."""
+    return _least_common([_runs(g), _runs(g, inverted=True)], alpha)
 
 
 def find_fixed_point_above(gs: Sequence[PwHomeo], alpha: Ordinal) -> Ordinal:
     """A common fixed point strictly above alpha: the limit of the
-    closure iteration that alternately pushes a bound through every map
-    and its inverse image.  Stretches of the iteration that advance by
-    single steps are collapsed symbolically to their limit."""
+    closure iteration alpha_0 = alpha, alpha_n+1 = the largest
+    sup h([0, alpha_n]) over every g and g^-1, plus 1.  That is the least
+    limit lambda > alpha with [0, lambda) preserved by every g and g^-1,
+    which for a limit holds exactly when lambda lies in a run of g, in a
+    run of g^-1 and in a fixed run of g."""
     if not gs:
         raise DomainError("need at least one map")
-    invs = [inverse(g) for g in gs]
-    beta = alpha
-    for _ in range(_ITERATION_CAP):
-        s = beta
-        for g, ig in zip(gs, invs):
-            s = max(s, apply(g, beta), sup_image(ig, beta))
-        if s == beta:
-            y = _least_active_above(gs, invs, beta)
-            if y is None:
-                return beta + OMEGA
-            beta = y
-        else:
-            beta = s + ONE
-    raise ContractError("fixed-point iteration failed to stabilise")
-
-
-def _sup_preimage(g: PwHomeo, alpha: Ordinal) -> Ordinal:
-    """sup_image(inverse(g), alpha) without building the inverse: the
-    last point that a target meeting [0, alpha] pulls back to."""
-    if alpha >= g.support:
-        return alpha
-    top = alpha + ONE
-    return _pred(max(_piece_map(p.target, p.source, min(top, p.target.end))
-                     for p in g.pieces if p.target.start < top))
+    streams = [s for g in gs for s in (_runs(g), _runs(g, inverted=True), _runs(g, fixed=True))]
+    return _least_common(streams, alpha + ONE, limits=True)
 
 
 def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
@@ -645,8 +614,8 @@ def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
     g([0, alpha]) = [0, alpha]."""
     if alpha >= g.support:
         return g
-    if sup_image(g, alpha) > alpha or _sup_preimage(g, alpha) > alpha:
-        raise ContractError(f"[0, {format_ordinal(alpha)}] is not invariant")
+    if invariant_point(g, alpha) != alpha:
+        raise DomainError(f"[0, {format_ordinal(alpha)}] is not invariant")
     i = _locate(g, alpha)
     p = g.pieces[i]
     sub = _interval(p.source.start, alpha + ONE)

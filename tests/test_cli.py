@@ -160,6 +160,15 @@ def test_check_accepts_an_infinite_mixed_piece(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_fixpoint_above_a_slow_climb(tmp_path, capsys):
+    # from w the closure iteration climbs w + 2, w + 4, ... to its limit
+    path = tmp_path / "climb.hom"
+    path.write_text("[0, 0] -> (w, w+1]\n(0, w] -> [0, w]\n(w, w*2] -> (w+1, w*2]\n")
+    assert run_cli(["homeo", "fixpoint-above", "w", str(path)]) == (0, "w*2\n")
+    assert run_cli(["homeo", "fixpoint-above", "0", str(path)]) == (0, "w*2\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(x):
         raise ContractError("an invariant failed")

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from ordhomeo import homeo
-from ordhomeo.errors import ContractError, DomainError, ValidationError
+from ordhomeo.errors import DomainError, ValidationError
 from ordhomeo.homeo import (
     IDENTITY,
     OrdinalSet,
@@ -635,6 +635,9 @@ class TestStratification:
         alpha = invariant_point(g, ONE)
         h = restrict_to_initial(g, alpha)
         assert h.support <= alpha
+        # [0, 1] is not invariant: a caller's error, not a broken invariant
+        with pytest.raises(DomainError):
+            restrict_to_initial(g, ONE)
 
 
 class TestTextFormat:
@@ -829,7 +832,7 @@ def restrict_to_initial_ref(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
     if alpha >= g.support:
         return g
     if sup_image_ref(g, alpha) > alpha or sup_image_ref(inverse(g), alpha) > alpha:
-        raise ContractError("not invariant")
+        raise DomainError("not invariant")
     kept = []
     for p in g.pieces:
         if p.source.hi <= alpha:
@@ -849,8 +852,8 @@ def lookup_points(g: PwHomeo) -> list[Ordinal]:
 def restricted_or_error(restrict, g: PwHomeo, alpha: Ordinal):
     try:
         return restrict(g, alpha)
-    except ContractError:
-        return ContractError
+    except DomainError:
+        return DomainError
 
 
 def lookup_maps():
@@ -973,41 +976,6 @@ def fix_threshold_ref(src: homeo.ClopenInterval, tgt: homeo.ClopenInterval) -> O
     return omega_pow(diff_exponent(src.lo, tgt.lo) + ONE)
 
 
-def piece_local_fix_ref(p: Piece):
-    src, tgt = p.source, p.target
-    if src == tgt:
-        return None
-    if src.lo is None and tgt.lo is not None:
-        return src.hi
-    if src.lo is None or tgt.lo is None or tgt.lo < src.lo:
-        return None
-    return min(src.lo + fix_threshold_ref(src, tgt), src.hi)
-
-
-def least_active_above_ref(gs, invs, x: Ordinal):
-    found = []
-    for m in [*gs, *invs]:
-        for p in m.pieces:
-            src, tgt = p.source, p.target
-            if src == tgt:
-                continue
-            if src.lo is None and tgt.lo is not None:
-                y = x + ONE
-                if y <= src.hi:
-                    found.append(y)
-            elif src.lo is not None and tgt.lo is not None and tgt.lo > src.lo:
-                y = max(src.lo, x) + ONE
-                if y <= src.hi and y < src.lo + fix_threshold_ref(src, tgt):
-                    found.append(y)
-    for h in invs:
-        for p in h.pieces:
-            if p.target.hi > p.source.hi:
-                y = max(p.source.hi, x + ONE)
-                if y < p.target.hi:
-                    found.append(y)
-    return min((y for y in found if x < y < x + OMEGA), default=None)
-
-
 def shape_maps() -> list[PwHomeo]:
     """Random maps, the rotations (infinite runs with a mixed head), the
     large swap products, and the inverses of all of them."""
@@ -1038,27 +1006,7 @@ class TestOneIntervalShape:
                 if p.source != p.target:
                     assert homeo._fix_threshold(p.source, p.target) == \
                         fix_threshold_ref(p.source, p.target)
-                assert homeo._piece_local_fix(p) == piece_local_fix_ref(p)
         assert mixed >= 30
-
-    def test_least_active_point_matches_reference(self):
-        # the stretch map's piece (1, w+5] -> (2, w+5] fixes [w, w+5]
-        stretch = build([
-            (initial(ONE), initial(ONE)),
-            (span(ONE, OMEGA + 5), span(Ordinal(2), OMEGA + 5)),
-            (span(OMEGA + 5, OMEGA + 6), span(ONE, Ordinal(2))),
-            (span(OMEGA + 6, o("w*2")), span(OMEGA + 5, o("w*2"))),
-        ])
-        rng = random.Random(40)
-        maps = [random_homeo(rng, max_moves=6) for _ in range(40)]
-        maps += [rotation_map(s, t) for s in range(3) for t in range(3)]
-        maps += [stretch, shift_up_map()]
-        pairs = [(g, inverse(g)) for g in maps] + [(inverse(g), g) for g in maps]
-        for _ in range(300):
-            gs, invs = zip(*rng.sample(pairs, rng.randint(1, 3)))
-            for x in rng.sample(GRID, 20):
-                assert homeo._least_active_above(gs, invs, x) == \
-                    least_active_above_ref(gs, invs, x)
 
     def test_canonical_matches_reference_on_split_refinements(self):
         rng = random.Random(39)
@@ -1084,4 +1032,177 @@ class TestInverseFreePreimages:
             ig = inverse(g)
             for y in points:
                 assert homeo._preimage(g, y) == apply(ig, y)
-                assert homeo._sup_preimage(g, y) == sup_image(ig, y)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form fixed-point solvers against the capped iterations they
+# replaced, kept here as references; a reference that reaches its cap
+# returns None
+
+
+ITERATION_CAP = 1000
+
+
+def piece_local_fix_iter(p: Piece):
+    """Least x in the piece from which the piece no longer pushes
+    upward, or the piece end when there is no such interior point;
+    None for pieces that never push upward."""
+    src, tgt = p.source, p.target
+    if not src.start < tgt.start:
+        return None
+    return min(src.start + homeo._fix_threshold(src, tgt), src.hi)
+
+
+def invariant_prefix_iter(g: PwHomeo, alpha: Ordinal):
+    """Iterates alpha -> sup_image, jumping over the interior of a
+    driving piece straight to its local solution."""
+    cur = alpha
+    for _ in range(ITERATION_CAP):
+        s = sup_image(g, cur)
+        if s <= cur:
+            return cur
+        nxt = s
+        i = homeo._locate(g, cur)
+        if i < len(g.pieces) and cur < g.pieces[i].source.hi and homeo._image(g, i, cur) == s:
+            jump = piece_local_fix_iter(g.pieces[i])
+            if jump is not None and jump > nxt:
+                nxt = jump
+        cur = nxt
+    return None
+
+
+def invariant_point_iter(g: PwHomeo, alpha: Ordinal):
+    ig = inverse(g)
+    cur = alpha
+    for _ in range(ITERATION_CAP):
+        a1 = invariant_prefix_iter(g, cur)
+        a2 = None if a1 is None else invariant_prefix_iter(ig, a1)
+        if a2 is None or a2 == a1:
+            return a2
+        cur = a2
+    return None
+
+
+def least_active_above_iter(gs, invs, x: Ordinal):
+    """Least y in ]x, x + w[ where the fixed-point iteration step map
+    exceeds y: some g moves y up, or some g maps a point above y into
+    [0, y] (seen through the inverse's full-piece pulls)."""
+    bound = x + OMEGA
+    best = None
+
+    def offer(y: Ordinal):
+        nonlocal best
+        if x < y < bound and (best is None or y < best):
+            best = y
+
+    def pointwise_up(m: PwHomeo):
+        for p in m.pieces:
+            src, tgt = p.source, p.target
+            if src.start < tgt.start:
+                y = max(src.start, x + ONE)
+                if y < src.end and y < src.start + homeo._fix_threshold(src, tgt):
+                    offer(y)
+
+    for g in gs:
+        pointwise_up(g)
+    for h in invs:
+        pointwise_up(h)
+        for p in h.pieces:
+            if p.target.end > p.source.end:
+                y = max(p.source.hi, x + ONE)
+                if y < p.target.hi:
+                    offer(y)
+    return best
+
+
+def find_fixed_point_above_iter(gs, alpha: Ordinal):
+    """The closure iteration that alternately pushes a bound through
+    every map and its inverse image, with stretches that advance by
+    single steps collapsed symbolically to their limit."""
+    invs = [inverse(g) for g in gs]
+    beta = alpha
+    for _ in range(ITERATION_CAP):
+        s = beta
+        for g, ig in zip(gs, invs):
+            s = max(s, apply(g, beta), sup_image(ig, beta))
+        if s == beta:
+            y = least_active_above_iter(gs, invs, beta)
+            if y is None:
+                return beta + OMEGA
+            beta = y
+        else:
+            beta = s + ONE
+    return None
+
+
+def fixed_points_loop(g: PwHomeo) -> OrdinalSet:
+    """fixed_points as one loop over the pieces, each computing its
+    threshold."""
+    if g.is_identity:
+        return OrdinalSet.from_parts([(ZERO, ZERO)], ZERO)
+    parts = []
+    for p in g.pieces:
+        src, tgt = p.source, p.target
+        x0 = src.start if src == tgt else src.start + homeo._fix_threshold(src, tgt)
+        if x0 < src.end:
+            parts.append((x0, src.hi))
+    return OrdinalSet.from_parts(parts, g.support)
+
+
+def point(x: int) -> homeo.ClopenInterval:
+    return initial(ZERO) if x == 0 else span(Ordinal(x - 1), Ordinal(x))
+
+
+class TestClosedFormSolvers:
+    def test_invariant_solvers_match_the_iterations(self):
+        rng = random.Random(42)
+        checked = 0
+        for g in shape_maps() + lookup_maps() + [swap_0w(), shift_up_map()]:
+            points = lookup_points(g) + lookup_points(inverse(g))
+            for x in rng.sample(points, min(len(points), 8)) + rng.sample(GRID, 3):
+                for solve, ref in ((invariant_prefix, invariant_prefix_iter),
+                                   (invariant_point, invariant_point_iter)):
+                    want = ref(g, x)
+                    if want is not None:
+                        assert solve(g, x) == want
+                        checked += 1
+        assert checked >= 3000
+
+    def test_fixed_point_above_matches_the_iteration(self):
+        # families of one to three maps, random or drawn from the shape
+        # and lookup maps, each map inverted three times in ten
+        rng = random.Random(43)
+        maps = shape_maps() + lookup_maps()
+        checked = 0
+        for _ in range(400):
+            if rng.random() < 0.5:
+                gs = [random_homeo(rng) for _ in range(rng.randint(1, 3))]
+            else:
+                gs = rng.sample(maps, rng.randint(1, 3))
+            gs = [inverse(g) if rng.random() < 0.3 else g for g in gs]
+            alpha = rng.choice(GRID)
+            want = find_fixed_point_above_iter(gs, alpha)
+            if want is not None:
+                assert find_fixed_point_above(gs, alpha) == want
+                checked += 1
+        assert checked >= 390
+
+    def test_fixed_points_match_the_piece_loop(self):
+        maps = shape_maps() + lookup_maps() + [IDENTITY, swap_0w(), shift_up_map()]
+        for g in maps + [inverse(g) for g in maps]:
+            assert fixed_points(g) == fixed_points_loop(g)
+
+    def test_a_long_cycle_has_no_iteration_cap(self):
+        # 0 -> 2 -> ... -> 2200 -> 2201 -> 2199 -> ... -> 3 -> 1 -> 0: each
+        # step of the capped iteration gained two points
+        cycle = [*range(0, 2201, 2), *range(2201, 0, -2)]
+        g = build((point(x), point(y)) for x, y in zip(cycle, cycle[1:] + cycle[:1]))
+        assert len(g.pieces) == 2202
+        assert invariant_prefix(g, ZERO) == Ordinal(2201)
+        assert invariant_point(g, ZERO) == Ordinal(2201)
+
+    def test_many_transpositions_have_no_iteration_cap(self):
+        # (0 1)(2 3)...(4198 4199)
+        g = build((point(x), point(x ^ 1)) for x in range(4200))
+        assert len(g.pieces) == 4200
+        assert find_fixed_point_above([g], ZERO) == OMEGA
