@@ -11,9 +11,9 @@ Every interval is stored half-open, as [start, end): [0, hi] is
 [0, hi + 1) and ]lo, hi] is [lo + 1, hi + 1), the two forms the text
 format prints.  [a, b) has order type -a + b, both sides of a piece
 have the same one, and the piece [a, .) -> [c, .) is x -> c + (-a + x).
-The canonical form merges every run of target-contiguous pieces, trims
-the identity suffix, and writes a piece starting at 0 on one side only
-and of infinite order type as its first point plus the rest.
+The canonical form merges every run of target-contiguous pieces, cuts
+the identity suffix off the last, and writes a piece starting at 0 on
+one side only and of infinite order type as its first point plus the rest.
 
 Fixed-point sets are computed exactly, as finite unions of closed
 intervals plus an unbounded tail, via the absorption law for the starts
@@ -21,10 +21,10 @@ a, c of a piece:  a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
 `compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons.
 `apply`, `sup_image` and `restrict_to_initial` find a point's piece
-through one linear scan, `_locate`, that stops there.  The fixed-point
-solvers and `fixed_points` walk runs instead, `_runs`: the points of
-each piece that meet one closed-form condition, read lazily, in order,
-until every map's runs meet.
+through one linear scan, `_locate`, that stops there.  Every fixed-point
+and invariant-set query reads one walk instead, `_common_runs`: each
+map's runs (`_runs`, the points of each piece that meet one closed-form
+condition) read lazily, in order, and met with the other maps' runs.
 """
 
 from __future__ import annotations
@@ -237,9 +237,10 @@ def build(pieces: Iterable[Piece | tuple[ClopenInterval, ClopenInterval]]) -> Pw
 
 def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
     """Merge every run of target-contiguous pieces (adjacent order
-    isomorphisms unite to one), trim the identity suffix, and split off
-    the first point of an infinite piece starting at 0 on one side only,
-    so extensionally equal maps reach identical piece lists."""
+    isomorphisms unite to one), cut the identity suffix off the last run
+    (if [s, e) -> [c, e), it fixes [s + _fix_threshold, e), all if s = c),
+    and split off the first point of an infinite piece starting at 0 on
+    one side only, so extensionally equal maps reach identical pieces."""
     ps = sorted(pieces, key=_source_end)
     runs = [ps[0]]
     for q in ps[1:]:
@@ -249,8 +250,13 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
                              _interval(p.target.start, q.target.end))
         else:
             runs.append(q)
-    while runs and runs[-1].source == runs[-1].target:
-        runs.pop()
+    p = runs[-1]
+    s, c, e = p.source.start, p.target.start, p.source.end
+    if p.target.end == e:
+        if s == c:
+            runs.pop()
+        elif (cut := s + _fix_threshold(p.source, p.target) + ONE) < e:
+            runs[-1] = Piece(_interval(s, cut), _interval(c, cut))
     out = []
     for p in runs:
         a, c = p.source.start, p.target.start
@@ -428,25 +434,6 @@ class OrdinalSet(_Record):
     def is_empty(self) -> bool:
         return not self.intervals and self.tail_from is None
 
-    def intersect(self, other: "OrdinalSet") -> "OrdinalSet":
-        a, b = self.intervals, other.intervals
-        parts: list[tuple[Ordinal, Ordinal]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (lo1, hi1), (lo2, hi2) = a[i], b[j]
-            parts.append((max(lo1, lo2), min(hi1, hi2)))  # from_parts drops empty ones
-            if hi1 <= hi2:
-                i += 1
-            else:
-                j += 1
-        for ivs, t in ((a, other.tail_from), (b, self.tail_from)):
-            if t is not None:
-                parts += [(max(lo, t + ONE), hi) for lo, hi in ivs]
-        tail = None
-        if self.tail_from is not None and other.tail_from is not None:
-            tail = max(self.tail_from, other.tail_from)
-        return OrdinalSet.from_parts(parts, tail)
-
     def least_geq(self, alpha: Ordinal) -> Optional[Ordinal]:
         """Least member >= alpha; None only for sets with no member
         there (a set with a tail always has one)."""
@@ -504,19 +491,16 @@ def _fix_threshold(src: ClopenInterval, tgt: ClopenInterval) -> Ordinal:
 def fixed_points(g: PwHomeo) -> OrdinalSet:
     """The exact fixed-point set, always containing the tail beyond the
     support (so it is closed, and unbounded at every scale)."""
-    if g.is_identity:
-        # everything: the degenerate interval {0} plus the tail past 0
-        return OrdinalSet.from_parts([(ZERO, ZERO)], ZERO)
-    return OrdinalSet.from_parts([*_runs(g, fixed=True)][:-1], g.support)
+    return common_fixed_points([g])
 
 
 def common_fixed_points(gs: Sequence[PwHomeo]) -> OrdinalSet:
+    """The points every map of gs fixes: the common fixed runs, the last
+    one [lo, oo) written as {lo} plus the tail past lo."""
     if not gs:
         raise DomainError("need at least one map")
-    result = fixed_points(gs[0])
-    for g in gs[1:]:
-        result = result.intersect(fixed_points(g))
-    return result
+    *parts, (lo, _) = _common_runs([_runs(g, fixed=True) for g in gs], ZERO)
+    return OrdinalSet.from_parts([*parts, (lo, lo)], lo)
 
 
 def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
@@ -565,35 +549,37 @@ def _least_limit(x: Ordinal) -> Ordinal:
     return x if key[-1][0] else _make(key[:-1]) + OMEGA
 
 
-def _least_common(streams, x: Ordinal, limits: bool = False) -> Ordinal:
-    """Least point >= x (least limit, if limits) in a run of every
-    stream of runs.  Each pass skips the runs that end below x, then
-    returns x or raises it to the highest run start; every pass after
-    the first returns or moves some stream to a later run, so the loop
-    ends within as many passes as the streams hold runs."""
+def _common_runs(streams, x: Ordinal):
+    """The runs at or above x that lie in a run of every stream of runs,
+    in order, as closed runs (lo, hi), the last one unbounded (lo, None).
+    Each pass skips the runs that end below x and raises x to the highest
+    run start; once none starts above x, x starts a common run that ends
+    at the least run end, and the next pass starts just past it."""
     runs = [next(s) for s in streams]
     while True:
-        if limits:
-            x = _least_limit(x)
         for k, s in enumerate(streams):
             while runs[k][1] is not None and runs[k][1] < x:
                 runs[k] = next(s)
         top = max(lo for lo, _ in runs)
         if top <= x:
-            return x
+            hi = min((hi for _, hi in runs if hi is not None), default=None)
+            yield x, hi
+            if hi is None:
+                return
+            top = hi + ONE
         x = top
 
 
 def invariant_prefix(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     """Least alpha* >= alpha with g([0, alpha*]) contained in
     [0, alpha*]: the first run of g at or above alpha."""
-    return _least_common([_runs(g)], alpha)
+    return next(_common_runs([_runs(g)], alpha))[0]
 
 
 def invariant_point(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     """Least alpha* >= alpha with g([0, alpha*]) = [0, alpha*]: the
     least point >= alpha in a run of g and in a run of its inverse."""
-    return _least_common([_runs(g), _runs(g, inverted=True)], alpha)
+    return next(_common_runs([_runs(g), _runs(g, inverted=True)], alpha))[0]
 
 
 def find_fixed_point_above(gs: Sequence[PwHomeo], alpha: Ordinal) -> Ordinal:
@@ -606,7 +592,10 @@ def find_fixed_point_above(gs: Sequence[PwHomeo], alpha: Ordinal) -> Ordinal:
     if not gs:
         raise DomainError("need at least one map")
     streams = [s for g in gs for s in (_runs(g), _runs(g, inverted=True), _runs(g, fixed=True))]
-    return _least_common(streams, alpha + ONE, limits=True)
+    for lo, hi in _common_runs(streams, alpha + ONE):
+        lam = _least_limit(lo)
+        if hi is None or lam <= hi:
+            return lam
 
 
 def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:

@@ -81,19 +81,27 @@ def satisfiable(cs: ConstraintSystem) -> Optional[PartialInjection]:
     points = ncs.points
     allowed = {p: sorted(vals) for p, vals in ncs.constraints}
     match: dict[Ordinal, Ordinal] = {}  # value -> point
-
-    def augment(p: Ordinal, seen: set[Ordinal]) -> bool:
-        for v in allowed[p]:
-            if v in seen:
+    for p in points:
+        # depth-first search for an augmenting path from p, on an explicit
+        # stack of frames [point, its untried values, the value it tries]
+        seen: set[Ordinal] = set()
+        stack = [[p, iter(allowed[p]), None]]
+        while stack:
+            top = stack[-1]
+            for v in top[1]:
+                if v not in seen:
+                    break
+            else:
+                stack.pop()
                 continue
             seen.add(v)
-            if v not in match or augment(match[v], seen):
-                match[v] = p
-                return True
-        return False
-
-    for p in points:
-        if not augment(p, set()):
+            top[2] = v
+            if v not in match:
+                for q, _, u in stack:
+                    match[u] = q
+                break
+            stack.append([match[v], iter(allowed[match[v]]), None])
+        else:
             return None
     chosen = {p: v for v, p in match.items()}
     return PartialInjection(tuple((p, chosen[p]) for p in points))

@@ -12,7 +12,8 @@ from operator import attrgetter
 
 from ordhomeo.homeo import (PwHomeo, compose, format_homeo, identity, interval_swap,
                             order_type, span, swap_points)
-from ordhomeo.ordinals import OMEGA, ONE, ZERO, Ordinal, classify, omega_pow, parse_ordinal, rank
+from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, classify,
+                               left_subtract, omega_pow, parse_ordinal, rank)
 
 # ---------------------------------------------------------------------------
 # pair oracle (ordinals below w^2)
@@ -160,7 +161,8 @@ def check_canonical(g: PwHomeo) -> None:
     sources in order, and the targets, each tiling [0, support]; both
     sides of a piece of one order type; no target-contiguous neighbours
     but the first point split off an infinite piece that starts at 0 on
-    one side only, which is always split off; no trailing identity piece."""
+    one side only, which is always split off; no trailing identity piece,
+    and no identity tail in the last piece."""
     def fail(why: str):
         raise AssertionError(f"not canonical, {why}:\n{format_homeo(g)}")
 
@@ -193,5 +195,14 @@ def check_canonical(g: PwHomeo) -> None:
                  and not order_type(q.source).is_finite)
         if q.target.start == p.target.end and not split:
             fail(f"unmerged neighbours at source {q.source.start}")
-    if ps[-1].source == ps[-1].target:
+    last = ps[-1]
+    if last.source == last.target:
         fail("trailing identity piece")
+    lo, hi = sorted((last.source.start, last.target.start))
+    if last.source.end == last.target.end and lo != hi:
+        # [s, e) -> [c, e) fixes s + t exactly when (-lo + hi) + t = t, so
+        # it fixes all its points from the least such t on, and must stop
+        # at the first of them
+        fixed_from = last.source.start + absorb_threshold(left_subtract(lo, hi))
+        if fixed_from + ONE < last.source.end:
+            fail(f"identity tail past {fixed_from} in the last piece")

@@ -169,6 +169,17 @@ def test_fixpoint_above_a_slow_climb(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_roelcke_on_a_map_that_fixes_its_last_point(tmp_path, capsys):
+    # g fixes w*2, the top of its support; roelcke_decompose checks that
+    # u h u', rebuilt by compose, equals g, so compose must cut the
+    # identity tail that its padded pieces leave above w*2
+    path = tmp_path / "climb.hom"
+    path.write_text("[0, 0] -> (w, w+1]\n(0, w] -> [0, w]\n(w, w*2] -> (w+1, w*2]\n")
+    code, out = run_cli(["dyn", "roelcke", str(path), "1", "w"])
+    assert code == 0 and out.startswith("sigma: ")
+    assert capsys.readouterr().err == ""
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(x):
         raise ContractError("an invariant failed")

@@ -221,6 +221,16 @@ class TestCanonicalize:
         for x in GRID:
             assert apply(coarse, x) == apply(fine, x) or x > o("w*2")
 
+    def test_an_identity_tail_is_cut_off_the_last_piece(self):
+        # ]w, w*2] -> ]w + 1, w*2] fixes w*2, so an identity piece above
+        # it merges with it, and the canonical form cuts it off again
+        text = "[0, 0] -> (w, w+1]\n(0, w] -> [0, w]\n(w, w*2] -> (w+1, w*2]\n"
+        g = parse_homeo(text)
+        assert g.support == o("w*2") and len(g.pieces) == 4
+        assert parse_homeo(text + "(w*2, w*2+1] -> (w*2, w*2+1]\n") == g
+        assert parse_homeo(text.replace("w*2]", "w*2 + 5]")) == g
+        assert compose(g, inverse(g)).is_identity
+
     def test_canonicalize_idempotent(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -273,6 +283,10 @@ class TestCanonicalCheck:
                     (span(o("w*2"), o("w*3")), span(o("w*2"), o("w*3")))),
          "trailing identity piece"),
         (PwHomeo(swap_0w().pieces, o("w*3")), "sources end at w*2 + 1, not past the support"),
+        (hand_built((initial(ZERO), span(OMEGA, OMEGA + 1)), (span(ZERO, ONE), initial(ZERO)),
+                    (span(ONE, OMEGA), span(ZERO, OMEGA)),
+                    (span(OMEGA, o("w*2 + 1")), span(OMEGA + 1, o("w*2 + 1")))),
+         "identity tail past w*2 in the last piece"),
     ])
     def test_rejects(self, g, message):
         with pytest.raises(AssertionError, match=re.escape(message)):
@@ -479,12 +493,6 @@ class TestOrdinalSet:
         assert format_ordinal_set(s) == "{0} ∪ (w*2, ∞)"
         assert format_ordinal_set(OrdinalSet.from_parts([], None)) == "∅"
 
-    def test_intersect(self):
-        a = OrdinalSet.from_parts([(ZERO, ZERO)], o("w*2"))
-        b = OrdinalSet.from_parts([], ONE)
-        c = a.intersect(b)
-        assert c.intervals == () and c.tail_from == o("w*2")
-
     def test_least_geq(self):
         s = OrdinalSet.from_parts([(Ordinal(3), Ordinal(6))], o("w*2"))
         assert s.least_geq(ZERO) == Ordinal(3)
@@ -514,6 +522,8 @@ class TestFixedPoints:
 
     def test_identity_fixes_everything(self):
         s = fixed_points(IDENTITY)
+        assert s == OrdinalSet.from_parts([(ZERO, ZERO)], ZERO)
+        assert s.intervals == ((ZERO, ZERO),) and s.tail_from == ZERO
         assert s.contains(ZERO) and s.contains(o("w^w")) and s.contains(Ordinal(17))
 
     def test_shift_piece_fixes_exactly_limit(self):
@@ -789,13 +799,17 @@ class TestLinearPieceAlgebra:
         assert 0 < calls <= len(g.pieces) + len(h.pieces)
 
     def test_intersect_matches_reference(self):
+        # common_fixed_points walks every map's fixed runs at once; the
+        # reference intersects the maps' fixed-point sets one by one
         rng = random.Random(34)
-        sets = [fixed_points(random_homeo(rng, max_moves=6)) for _ in range(20)]
-        sets += [fixed_points(g) for pair in large_map_pairs(rng) for g in pair]
-        sets += [OrdinalSet.from_parts(s.intervals, None) for s in sets]
-        for s in sets:
-            for t in rng.sample(sets, 12):
-                assert s.intersect(t) == intersect_ref(s, t)
+        maps = [random_homeo(rng, max_moves=6) for _ in range(20)]
+        maps += [g for pair in large_map_pairs(rng) for g in pair]
+        for _ in range(80):
+            gs = rng.sample(maps, rng.randint(2, 3))
+            want = fixed_points(gs[0])
+            for g in gs[1:]:
+                want = intersect_ref(want, fixed_points(g))
+            assert common_fixed_points(gs) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import io
 import math
 import random
 
 import pytest
 
+from ordhomeo.cli import main
 from ordhomeo.errors import DomainError, ParseError, ResourceError
 from ordhomeo.sieve import (
     ConstraintSystem,
@@ -85,6 +87,23 @@ class TestSatisfiable:
         for _ in range(300):
             system = random_system(rng)
             assert (satisfiable(system) is not None) == hall_brute(system)
+
+    def test_a_long_augmenting_path(self, tmp_path, capsys):
+        # point k may take 10000 + k - 1 or 10000 + k and tries the first,
+        # which point k - 1 holds, so the search for k walks back through
+        # every earlier point: 1200 steps, past the interpreter's
+        # recursion limit
+        n = 1200
+        system = cs((1, [10001]), *((k, [10000 + k - 1, 10000 + k]) for k in range(2, n + 1)))
+        h = satisfiable(system)
+        h.validate()
+        assert h.as_mapping() == {Ordinal(k): Ordinal(10000 + k) for k in range(1, n + 1)}
+        path = tmp_path / "staircase.txt"
+        path.write_text(format_constraints(system))
+        out = io.StringIO()
+        assert main(["sieve", "match", str(path)], out=out) == 0
+        assert out.getvalue() == format_injection(h)
+        assert capsys.readouterr().err == ""
 
     def test_hall_brute_size_limit(self):
         big = cs(*[(i, [i]) for i in range(25)])
