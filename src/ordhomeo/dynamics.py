@@ -165,8 +165,8 @@ def roelcke_decompose(g: PwHomeo, points: Sequence[Ordinal]) -> RoelckeCertifica
     if len(set(points)) != len(points):
         raise DomainError("points must be distinct")
     index = {x: i for i, x in enumerate(points)}
-    sigma = tuple((i, index[apply(g, x)]) for i, x in enumerate(points)
-                  if apply(g, x) in index)
+    images = [apply(g, x) for x in points]
+    sigma = tuple((i, index[y]) for i, y in enumerate(images) if y in index)
     lookup = dict(sigma)
     floor = max(points)
     h_pairs = []
@@ -176,8 +176,7 @@ def roelcke_decompose(g: PwHomeo, points: Sequence[Ordinal]) -> RoelckeCertifica
         else:
             h_pairs.append((x, fresh_point(rank(x), i, floor)))
     h = make_transitive(TransitivityProblem(tuple(h_pairs)))
-    u_pairs = tuple((apply(h, points[i]), apply(g, points[i]))
-                    for i in range(len(points)) if i not in lookup)
+    u_pairs = tuple((apply(h, x), images[i]) for i, x in enumerate(points) if i not in lookup)
     if u_pairs:
         u = make_transitive(TransitivityProblem(u_pairs, frozenset(points)))
     else:

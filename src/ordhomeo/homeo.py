@@ -194,19 +194,21 @@ def identity() -> PwHomeo:
     return IDENTITY
 
 
-# On a tiling, the order of ends is the order of starts.
-_source_end = attrgetter("source.end")
+# Sort keys: the CNF key of a side's start, which sorts as the ordinal
+# does, compared in C.  On a tiling, the order of starts is that of ends.
+_by_source = attrgetter("source.start._key")
+_by_target = attrgetter("target.start._key")
 
 
 def _check_tiling(pieces: Sequence[Piece], side: str) -> Ordinal:
-    """Intervals on one side must tile [0, beta]; returns beta + 1."""
-    ivs = sorted(((getattr(p, side), p) for p in pieces), key=lambda e: e[0].start)
-    first_iv, first_p = ivs[0]
-    if not first_iv.start.is_zero:
+    """Pieces sorted on one side must tile [0, beta] there; returns beta + 1."""
+    first = getattr(pieces[0], side)
+    if not first.start.is_zero:
         raise ValidationError(
-            f"{side}s do not cover 0 (no initial interval); first piece: {_format_piece(first_p)}")
-    end = first_iv.end
-    for iv, p in ivs[1:]:
+            f"{side}s do not cover 0 (no initial interval); first piece: {_format_piece(pieces[0])}")
+    end = first.end
+    for p in pieces[1:]:
+        iv = getattr(p, side)
         if iv.start.is_zero:
             raise ValidationError(f"duplicate initial {side} in piece: {_format_piece(p)}")
         if iv.start != end:
@@ -227,8 +229,10 @@ def build(pieces: Iterable[Piece | tuple[ClopenInterval, ClopenInterval]]) -> Pw
                                   f"{format_ordinal(b)}) in piece: {_format_piece(p)}")
     if not ps:
         return IDENTITY
+    by_target = sorted(ps, key=_by_target)
+    ps.sort(key=_by_source)
     end_src = _check_tiling(ps, "source")
-    end_tgt = _check_tiling(ps, "target")
+    end_tgt = _check_tiling(by_target, "target")
     if end_src != end_tgt:
         raise ValidationError(f"sources end at {format_ordinal(_pred(end_src))}"
                               f" but targets end at {format_ordinal(_pred(end_tgt))}")
@@ -241,7 +245,7 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
     (if [s, e) -> [c, e), it fixes [s + _fix_threshold, e), all if s = c),
     and split off the first point of an infinite piece starting at 0 on
     one side only, so extensionally equal maps reach identical pieces."""
-    ps = sorted(pieces, key=_source_end)
+    ps = sorted(pieces, key=_by_source)
     runs = [ps[0]]
     for q in ps[1:]:
         p = runs[-1]
@@ -321,7 +325,7 @@ def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
     if h.is_identity:
         return g
     end = max(g.pieces[-1].source.end, h.pieces[-1].source.end)
-    hp = sorted(_extended_pieces(h, end), key=attrgetter("target.end"))
+    hp = sorted(_extended_pieces(h, end), key=_by_target)
     gp = _extended_pieces(g, end)
     out = []
     i = j = 0
@@ -510,10 +514,6 @@ def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     return _pred(max([_image(g, i, alpha) + ONE] + [p.target.end for p in g.pieces[:i]]))
 
 
-# The target end's CNF key, which sorts as the ordinal does, compared in C.
-_target_end_key = attrgetter("target.end._key")
-
-
 def _runs(g: PwHomeo, inverted: bool = False, fixed: bool = False):
     """The points a with h([0, a]) contained in [0, a], or with h(a) = a
     if fixed, for h = g or its inverse, as increasing closed runs
@@ -525,7 +525,7 @@ def _runs(g: PwHomeo, inverted: bool = False, fixed: bool = False):
     the last point of every earlier piece's target.  The inverse's pieces
     are g's with the sides swapped, in target order: a tiling, if not a
     canonical one, which is all the rule needs."""
-    pieces = sorted(g.pieces, key=_target_end_key) if inverted else g.pieces
+    pieces = sorted(g.pieces, key=_by_target) if inverted else g.pieces
     top = end = ZERO  # the highest earlier target end (0 if fixed), the last source end
     for p in pieces:
         src, tgt = (p.target, p.source) if inverted else (p.source, p.target)

@@ -6,7 +6,9 @@ group of the (effectively infinite) ordinal ground set.  The module
 decides satisfiability by augmenting-path matching, cross-checkable
 against a direct exhaustive test of Hall's condition, orders systems by
 refinement, takes limits of refining chains, and extends any partial
-injection to a finitely-supported permutation.
+injection to a finitely-supported permutation.  Refinement is syntactic
+and transitive, so a refining chain's limit is its last member, and one
+matching of that member witnesses the whole chain.
 """
 
 from __future__ import annotations
@@ -124,18 +126,19 @@ def hall_brute(cs: ConstraintSystem) -> bool:
     return True
 
 
+def _refines(na: ConstraintSystem, nb: ConstraintSystem) -> bool:
+    """Whether every constraint of the normal form nb is refined by a
+    constraint of the normal form na on the same point."""
+    lookup = dict(na.constraints)
+    return all(p in lookup and lookup[p] <= vals for p, vals in nb.constraints)
+
+
 def contains(a: ConstraintSystem, b: ConstraintSystem) -> bool:
     """Whether the open set described by a lies inside the one described
     by b: every constraint of b must be refined by a constraint of a on
     the same point.  Vacuously true for unsatisfiable a."""
     na = normalize(a)
-    if satisfiable(na) is None:
-        return True
-    lookup = dict(na.constraints)
-    for p, vals in normalize(b).constraints:
-        if p not in lookup or not lookup[p] <= vals:
-            return False
-    return True
+    return satisfiable(na) is None or _refines(na, normalize(b))
 
 
 def below(a: ConstraintSystem, b: ConstraintSystem) -> bool:
@@ -144,24 +147,27 @@ def below(a: ConstraintSystem, b: ConstraintSystem) -> bool:
     for name, cs in (("left", a), ("right", b)):
         if satisfiable(cs) is None:
             raise DomainError(f"{name} side is unsatisfiable")
-    return contains(a, b)
+    return _refines(normalize(a), normalize(b))
 
 
 def chain_limit(chain: Sequence[ConstraintSystem]) -> tuple[ConstraintSystem, PartialInjection]:
     """Limit of a refining chain (each element below the previous) and a
-    witness injection satisfying every member."""
+    witness injection satisfying every member.  Refinement is transitive,
+    so the limit is the last member's normal form, found with one
+    matching; a witness for it satisfies every earlier member."""
     if not chain:
         raise DomainError("empty chain")
-    for i in range(len(chain) - 1):
-        if not below(chain[i + 1], chain[i]):
+    members = [normalize(cs) for cs in chain]
+    for i in range(len(members) - 1):
+        if not _refines(members[i + 1], members[i]):
             raise DomainError(f"chain violation between elements {i + 1} and {i + 2}")
-    limit = normalize(ConstraintSystem(tuple(c for cs in chain for c in cs.constraints)))
+    limit = members[-1]
     witness = satisfiable(limit)
-    if witness is None:  # the refinement discipline rules this out
-        raise ContractError("chain limit lost satisfiability")
+    if witness is None:
+        raise DomainError(f"the chain's limit (element {len(members)}) is unsatisfiable")
     mapping = witness.as_mapping()
-    for i, cs in enumerate(chain):
-        for p, vals in normalize(cs).constraints:
+    for i, ncs in enumerate(members):
+        for p, vals in ncs.constraints:
             if mapping[p] not in vals:
                 raise ContractError(f"witness violates chain element {i + 1}")
     return limit, witness
@@ -197,33 +203,23 @@ def extend_to_permutation(h: PartialInjection) -> FinitePermutation:
     support is exactly the points of h's chains."""
     h.validate()
     mapping = h.as_mapping()
-    sources = set(mapping)
-    targets = set(mapping.values())
+    heads = sorted(mapping.keys() - mapping.values())
     cycles = []
     visited: set[Ordinal] = set()
-    for start in sorted(sources - targets):
-        chain = [start]
-        while chain[-1] in mapping:
-            chain.append(mapping[chain[-1]])
-        visited.update(chain)
-        if len(chain) > 1:
-            cycles.append(chain)
-    for start in sorted(sources - visited):
+    # a walk from a chain head ends where the chain leaves the sources,
+    # one from any other source where it comes back to the start
+    for start in heads + sorted(mapping):
         if start in visited:
             continue
-        # pure cycles of the injection
         cycle = [start]
-        while mapping[cycle[-1]] != start:
-            cycle.append(mapping[cycle[-1]])
+        while (x := mapping.get(cycle[-1], start)) != start:
+            cycle.append(x)
         visited.update(cycle)
         if len(cycle) > 1:
-            cycles.append(cycle)
-    canon = []
-    for cycle in cycles:
-        least = min(range(len(cycle)), key=lambda i: cycle[i])
-        canon.append(tuple(cycle[least:] + cycle[:least]))
-    canon.sort(key=lambda c: c[0])
-    return FinitePermutation(tuple(canon))
+            least = cycle.index(min(cycle))
+            cycles.append(tuple(cycle[least:] + cycle[:least]))
+    cycles.sort(key=lambda c: c[0])
+    return FinitePermutation(tuple(cycles))
 
 
 # ---------------------------------------------------------------------------

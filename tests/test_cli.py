@@ -180,6 +180,13 @@ def test_roelcke_on_a_map_that_fixes_its_last_point(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_unsatisfiable_chain_is_a_domain_error(capsys):
+    # a one-member chain refines itself vacuously, so only the matching
+    # of its limit finds the pigeonhole; that used to exit 4
+    assert run_cli(["sieve", "chain", str(DATA / "pigeon.cs")]) == (1, "")
+    assert capsys.readouterr().err == "error: the chain's limit (element 1) is unsatisfiable\n"
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(x):
         raise ContractError("an invariant failed")

@@ -142,6 +142,20 @@ class TestBuild:
                 (span(ONE, Ordinal(2)), span(ONE, Ordinal(2))),
             ])
 
+    def test_tied_target_starts_name_the_later_input_piece(self):
+        # two targets start at 0 (exclusive); the target check walks the
+        # pieces in target order, ties in input order, so it names the
+        # second of the two as the input lists them
+        with pytest.raises(ValidationError) as err:
+            build([
+                (span(ONE, Ordinal(2)), span(ZERO, ONE)),
+                (span(ZERO, ONE), span(ZERO, ONE)),
+                (initial(ZERO), initial(ZERO)),
+                (span(Ordinal(2), Ordinal(3)), span(Ordinal(2), Ordinal(3))),
+            ])
+        assert str(err.value) == ("overlapping target interval in piece: (0, 1] -> (0, 1]"
+                                  " (expected start 1)")
+
     def test_mismatched_ends(self):
         # per-piece labels match and both sides tile contiguously, but
         # ordinal addition is not commutative: 1+1+w = w while 1+w+1 = w+1
