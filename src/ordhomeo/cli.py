@@ -112,7 +112,8 @@ def _match(cs):
 def _contains(a, b):
     if O.satisfiable(a) is None:
         print("left side is unsatisfiable; inclusion is vacuous", file=sys.stderr)
-    return O.contains(a, b)
+        return True
+    return O.sieve._refines(O.normalize(a), O.normalize(b))
 
 
 def _chain(systems):

@@ -23,10 +23,11 @@ from typing import Sequence
 from .errors import ContractError, DomainError
 from .homeo import (
     PwHomeo,
+    _common_runs,
     _preimage,
+    _runs,
     apply,
     compose,
-    fixed_points,
     identity,
     interval_swap,
     invariant_point,
@@ -89,10 +90,7 @@ def _raise_endpoint(lo: Ordinal, top: Ordinal, obstructions) -> Ordinal:
     """Push a left endpoint above every obstruction strictly inside
     ]lo, top[; any such endpoint still spans an interval of the same
     order type, by absorption."""
-    for z in obstructions:
-        if lo < z < top:
-            lo = z
-    return lo
+    return max((z for z in obstructions if lo < z < top), default=lo)
 
 
 def make_transitive(problem: TransitivityProblem) -> PwHomeo:
@@ -200,10 +198,7 @@ def dense_approx(g: PwHomeo, targets: Sequence[Ordinal],
     start = max(targets) + ONE if targets else ONE
     alpha = invariant_point(g, start)
     h = restrict_to_initial(g, alpha)
-    seen = []
-    for f in family:
-        if f not in seen:
-            seen.append(f)
+    seen = list(dict.fromkeys(family))
     if not seen:
         return h, identity()
     floor = max([alpha] + seen)
@@ -213,10 +208,12 @@ def dense_approx(g: PwHomeo, targets: Sequence[Ordinal],
 
 
 def in_baire_T(g: PwHomeo, n: int) -> bool:
-    """Does g fix some integer k with n <= k < w?"""
+    """Does g fix some integer k with n <= k < w?  One walk to the first
+    fixed run of g at or above n: its first point is the least fixed
+    point >= n, finite exactly when such a k exists."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    return fixed_points(g).meets_integers_from(n)
+    return next(_common_runs([_runs(g, fixed=True)], Ordinal(n)))[0] < OMEGA
 
 
 def baire_density_witness(g: PwHomeo, n: int,

@@ -24,7 +24,8 @@ a, c of a piece:  a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 through one linear scan, `_locate`, that stops there.  Every fixed-point
 and invariant-set query reads one walk instead, `_common_runs`: each
 map's runs (`_runs`, the points of each piece that meet one closed-form
-condition) read lazily, in order, and met with the other maps' runs.
+condition) read lazily, in order, as half-open runs [lo, end) like
+every interval, and met with the other maps' runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .ordinals import (
     _Record,
     _set,
     _split_lines,
-    classify,
     diff_exponent,
     format_ordinal,
     left_subtract,
@@ -396,7 +396,9 @@ def swap_points(x: Ordinal, y: Ordinal) -> PwHomeo:
 class OrdinalSet(_Record):
     """Finite union of closed intervals [lo, hi] (points are degenerate
     intervals) plus an optional unbounded tail ]tail_from, oo[.
-    Construct through from_parts, which normalizes."""
+    Construct through from_parts, which normalizes.  Whether a map fixes
+    an integer at or above n is no set query: `dynamics.in_baire_T`
+    walks the map's fixed runs instead."""
 
     __slots__ = ("intervals", "tail_from")
 
@@ -420,10 +422,9 @@ class OrdinalSet(_Record):
             merged = [(lo, min(hi, t)) for lo, hi in merged if lo <= t]
             if merged and merged[-1][1] == t:
                 lo = merged[-1][0]
-                cls = classify(lo)
-                if cls.kind == "successor":
+                if lo and rank(lo).is_zero:  # a successor
                     merged.pop()
-                    t = cls.predecessor
+                    t = _pred(lo)
                 else:
                     # lo is 0 or a limit: [lo, t] + ]t, oo[ = {lo} + ]lo, oo[
                     merged[-1] = (lo, lo)
@@ -431,9 +432,7 @@ class OrdinalSet(_Record):
         return OrdinalSet(tuple(merged), t)
 
     def contains(self, x: Ordinal) -> bool:
-        if self.tail_from is not None and x > self.tail_from:
-            return True
-        return any(lo <= x <= hi for lo, hi in self.intervals)
+        return self.least_geq(x) == x
 
     def is_empty(self) -> bool:
         return not self.intervals and self.tail_from is None
@@ -451,15 +450,6 @@ class OrdinalSet(_Record):
             if best is None or cand < best:
                 best = cand
         return best
-
-    def meets_integers_from(self, n: int) -> bool:
-        """Does the set contain a finite value >= n?"""
-        if self.tail_from is not None and self.tail_from < OMEGA:
-            return True
-        for lo, hi in self.intervals:
-            if lo < OMEGA and max(lo, Ordinal(n)) <= hi:
-                return True
-        return False
 
     def has_cofinal_integers(self) -> bool:
         """Arbitrarily large finite members?"""
@@ -504,7 +494,7 @@ def common_fixed_points(gs: Sequence[PwHomeo]) -> OrdinalSet:
     if not gs:
         raise DomainError("need at least one map")
     *parts, (lo, _) = _common_runs([_runs(g, fixed=True) for g in gs], ZERO)
-    return OrdinalSet.from_parts([*parts, (lo, lo)], lo)
+    return OrdinalSet.from_parts([*((a, _pred(end)) for a, end in parts), (lo, lo)], lo)
 
 
 def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
@@ -516,15 +506,16 @@ def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
 
 def _runs(g: PwHomeo, inverted: bool = False, fixed: bool = False):
     """The points a with h([0, a]) contained in [0, a], or with h(a) = a
-    if fixed, for h = g or its inverse, as increasing closed runs
-    (lo, hi): at most one per piece, then the unbounded (support + 1,
-    None), (0, None) for the identity.  For a in a piece [s, e) -> [c, f)
-    of h, taken in source order, h(a) = a exactly when c = s or
-    a >= s + _fix_threshold, and h(a) <= a exactly when c < s or h(a) = a;
-    h([0, a]) lies in [0, a] exactly when h(a) <= a and a is at or above
-    the last point of every earlier piece's target.  The inverse's pieces
-    are g's with the sides swapped, in target order: a tiling, if not a
-    canonical one, which is all the rule needs."""
+    if fixed, for h = g or its inverse, as increasing half-open runs
+    [lo, end), written (lo, end): at most one per piece, ending where its
+    source ends, then the unbounded (support + 1, None), (0, None) for
+    the identity.  For a in a piece [s, e) -> [c, f) of h, taken in
+    source order, h(a) = a exactly when c = s or a >= s + _fix_threshold,
+    and h(a) <= a exactly when c < s or h(a) = a; h([0, a]) lies in
+    [0, a] exactly when h(a) <= a and a is at or above the last point of
+    every earlier piece's target.  The inverse's pieces are g's with the
+    sides swapped, in target order: a tiling, if not a canonical one,
+    which is all the rule needs."""
     pieces = sorted(g.pieces, key=_by_target) if inverted else g.pieces
     top = end = ZERO  # the highest earlier target end (0 if fixed), the last source end
     for p in pieces:
@@ -537,7 +528,7 @@ def _runs(g: PwHomeo, inverted: bool = False, fixed: bool = False):
             if top > lo:
                 lo = _pred(top)
             if lo < end:
-                yield lo, src.hi
+                yield lo, end
         if not fixed and tgt.end > top:
             top = tgt.end
     yield end, None
@@ -551,22 +542,23 @@ def _least_limit(x: Ordinal) -> Ordinal:
 
 def _common_runs(streams, x: Ordinal):
     """The runs at or above x that lie in a run of every stream of runs,
-    in order, as closed runs (lo, hi), the last one unbounded (lo, None).
-    Each pass skips the runs that end below x and raises x to the highest
-    run start; once none starts above x, x starts a common run that ends
-    at the least run end, and the next pass starts just past it."""
+    in order, as half-open runs (lo, end), the last one unbounded
+    (lo, None).  Each pass skips the runs that end at or below x and
+    raises x to the highest run start; once none starts above x, x starts
+    a common run that ends at the least run end, where the next pass
+    starts."""
     runs = [next(s) for s in streams]
     while True:
         for k, s in enumerate(streams):
-            while runs[k][1] is not None and runs[k][1] < x:
+            while runs[k][1] is not None and runs[k][1] <= x:
                 runs[k] = next(s)
         top = max(lo for lo, _ in runs)
         if top <= x:
-            hi = min((hi for _, hi in runs if hi is not None), default=None)
-            yield x, hi
-            if hi is None:
+            end = min((end for _, end in runs if end is not None), default=None)
+            yield x, end
+            if end is None:
                 return
-            top = hi + ONE
+            top = end
         x = top
 
 
@@ -592,9 +584,9 @@ def find_fixed_point_above(gs: Sequence[PwHomeo], alpha: Ordinal) -> Ordinal:
     if not gs:
         raise DomainError("need at least one map")
     streams = [s for g in gs for s in (_runs(g), _runs(g, inverted=True), _runs(g, fixed=True))]
-    for lo, hi in _common_runs(streams, alpha + ONE):
+    for lo, end in _common_runs(streams, alpha + ONE):
         lam = _least_limit(lo)
-        if hi is None or lam <= hi:
+        if end is None or lam < end:
             return lam
 
 

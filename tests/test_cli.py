@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ordhomeo import cli
+import ordhomeo
+from ordhomeo import cli, sieve
 from ordhomeo.cli import main
 from ordhomeo.errors import ContractError
 from ordhomeo.homeo import parse_homeo
@@ -185,6 +186,27 @@ def test_unsatisfiable_chain_is_a_domain_error(capsys):
     # of its limit finds the pigeonhole; that used to exit 4
     assert run_cli(["sieve", "chain", str(DATA / "pigeon.cs")]) == (1, "")
     assert capsys.readouterr().err == "error: the chain's limit (element 1) is unsatisfiable\n"
+
+
+@pytest.mark.parametrize("left,right,expected", [
+    ("narrow.cs", "wide.cs", "true\n"),
+    ("wide.cs", "narrow.cs", "false\n"),
+    ("pigeon.cs", "wide.cs", "true\n"),
+    ("pigeon.cs", "narrow.cs", "true\n"),  # vacuous, though pigeon.cs does not refine narrow.cs
+])
+def test_contains_matches_its_left_side_once(left, right, expected, monkeypatch):
+    calls = []
+    real = sieve.satisfiable
+
+    def counted(cs):
+        calls.append(cs)
+        return real(cs)
+
+    monkeypatch.setattr(sieve, "satisfiable", counted)
+    monkeypatch.setattr(ordhomeo, "satisfiable", counted)
+    monkeypatch.chdir(DATA)
+    assert run_cli(["sieve", "contains", left, right]) == (0, expected)
+    assert len(calls) == 1
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):

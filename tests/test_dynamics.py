@@ -194,6 +194,13 @@ class TestDenseApprox:
         h, k = dense_approx(g, [], [Ordinal(2)])
         assert h.support <= invariant_point(g, ONE)
 
+    def test_repeated_family_points_count_once(self):
+        g = swap_0w()
+        h, k = dense_approx(g, [OMEGA], [ONE, Ordinal(2), ONE, ONE])
+        assert (h, k) == dense_approx(g, [OMEGA], [ONE, Ordinal(2)])
+        assert apply(k, ONE) == o("w*3 + 1")  # first-seen order: 1 is index 0, 2 index 1
+        assert apply(k, Ordinal(2)) == o("w*3 + 2")
+
     def test_contracts_random(self):
         rng = random.Random(64)
         for _ in range(60):

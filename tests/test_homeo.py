@@ -4,6 +4,7 @@ import re
 import pytest
 
 from ordhomeo import homeo
+from ordhomeo.dynamics import in_baire_T
 from ordhomeo.errors import DomainError, ValidationError
 from ordhomeo.homeo import (
     IDENTITY,
@@ -1234,3 +1235,55 @@ class TestClosedFormSolvers:
         g = build((point(x), point(x ^ 1)) for x in range(4200))
         assert len(g.pieces) == 4200
         assert find_fixed_point_above([g], ZERO) == OMEGA
+
+
+# ---------------------------------------------------------------------------
+# membership read off the run walk against the set scans it replaced,
+# kept here as references
+
+
+def meets_integers_from_ref(s: OrdinalSet, n: int) -> bool:
+    """Does the set contain a finite value >= n?"""
+    if s.tail_from is not None and s.tail_from < OMEGA:
+        return True
+    for lo, hi in s.intervals:
+        if lo < OMEGA and max(lo, Ordinal(n)) <= hi:
+            return True
+    return False
+
+
+def contains_ref(s: OrdinalSet, x: Ordinal) -> bool:
+    if s.tail_from is not None and x > s.tail_from:
+        return True
+    return any(lo <= x <= hi for lo, hi in s.intervals)
+
+
+class TestRunWalkMembership:
+    def test_baire_membership_matches_the_set_scan(self):
+        rng = random.Random(44)
+        maps = [random_homeo(rng) for _ in range(150)]
+        for g in maps + [inverse(g) for g in maps[:30]]:
+            s = fixed_points(g)
+            for n in range(1, 10):
+                assert in_baire_T(g, n) == meets_integers_from_ref(s, n)
+
+    @pytest.mark.parametrize("g,n,want", [
+        # fixes nothing up to w*2
+        (interval_swap(initial(OMEGA), span(OMEGA, o("w*2"))), 1, False),
+        (interval_swap(initial(OMEGA), span(OMEGA, o("w*2"))), 5, False),
+        (swap_points(Ordinal(3), OMEGA + 3), 3, True),  # moves 3, fixes 4
+        (shift_up_map(), 2, False),  # moves every integer from 2 on, fixes w
+        (IDENTITY, 1, True),
+    ])
+    def test_baire_membership_on_hand_built_maps(self, g, n, want):
+        assert in_baire_T(g, n) is want
+        assert meets_integers_from_ref(fixed_points(g), n) is want
+
+    def test_contains_matches_the_scan(self):
+        rng = random.Random(45)
+        for _ in range(60):
+            parts = [tuple(sorted(rng.sample(GRID, 2))) for _ in range(rng.randint(0, 4))]
+            tail = rng.choice([None, *rng.sample(GRID, 2)])
+            s = OrdinalSet.from_parts(parts, tail)
+            for x in GRID:
+                assert s.contains(x) == contains_ref(s, x)
