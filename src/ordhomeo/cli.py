@@ -141,7 +141,7 @@ _COMMANDS = {
         "compose": ([("file+", _map, "application order: rightmost applied first")],
                     lambda maps: reduce(lambda g, h: O.compose(h, g), reversed(maps))),
         "invert": ([("file", _map)], lambda g: O.inverse(g)),
-        "order": ([("file", _map)], lambda g: O.order_of(g) or "cap-exceeded"),
+        "order": ([("file", _map)], lambda g: O.order_of(g)),
         "fix": ([("file", _map)], lambda g: O.fixed_points(g)),
         "common-fix": ([("file+", _map)], lambda maps: O.common_fixed_points(maps)),
         "fixpoint-above": ([("bound", _ordinal), ("file+", _map)],

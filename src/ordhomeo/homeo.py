@@ -9,8 +9,9 @@ a homeomorphism (pieces are clopen), and membership is decidable.
 
 Every interval is stored half-open, as [start, end): [0, hi] is
 [0, hi + 1) and ]lo, hi] is [lo + 1, hi + 1), the two forms the text
-format prints.  [a, b) has order type -a + b, both sides of a piece
-have the same one, and the piece [a, .) -> [c, .) is x -> c + (-a + x).
+format prints, which `initial` and `span` check; `ClopenInterval(start,
+end)` trusts its ends.  [a, b) has order type -a + b, both sides of a
+piece have the same one, and the piece [a, .) -> [c, .) is x -> c + (-a + x).
 The canonical form merges every run of target-contiguous pieces, cuts
 the identity suffix off the last, and writes a piece starting at 0 on
 one side only and of infinite order type as its first point plus the rest.
@@ -30,10 +31,11 @@ every interval, and met with the other maps' runs.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError, ResourceError, ValidationError
 from .ordinals import (
     OMEGA,
     ONE,
@@ -52,6 +54,8 @@ from .ordinals import (
     rank,
 )
 
+ORDER_CAP = 10_000  # most cells `order_of` follows
+
 # ---------------------------------------------------------------------------
 # clopen intervals
 
@@ -62,15 +66,14 @@ def _pred(x: Ordinal) -> Ordinal:
 
 
 class ClopenInterval(_Record):
-    """[start, end), built as [0, hi] when lo is None, else as ]lo, hi]."""
+    """[start, end): start is 0 or a successor, end a larger successor.
+    Build one from the closed form with `initial` or `span`."""
 
     __slots__ = ("start", "end")
 
-    def __init__(self, lo: Optional[Ordinal], hi: Ordinal):
-        if lo is not None and not lo < hi:
-            raise DomainError(f"empty interval ({format_ordinal(lo)}, {format_ordinal(hi)}]")
-        _set(self, "start", ZERO if lo is None else lo + ONE)
-        _set(self, "end", hi + ONE)
+    def __init__(self, start: Ordinal, end: Ordinal):
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     @property
     def lo(self) -> Optional[Ordinal]:
@@ -83,27 +86,18 @@ class ClopenInterval(_Record):
     def contains(self, x: Ordinal) -> bool:
         return self.start <= x < self.end
 
-    def __repr__(self) -> str:
-        return f"ClopenInterval(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __reduce__(self):  # through the check for an empty interval
-        return ClopenInterval, (self.lo, self.hi)
-
-
-def _interval(start: Ordinal, end: Ordinal) -> ClopenInterval:
-    """[start, end), unchecked: start is 0 or a successor, end a larger successor."""
-    iv = object.__new__(ClopenInterval)
-    _set(iv, "start", start)
-    _set(iv, "end", end)
-    return iv
+    def __reduce__(self):  # through span's check for an empty interval
+        return (span, (self.lo, self.hi)) if self.start else (initial, (self.hi,))
 
 
 def initial(hi: Ordinal) -> ClopenInterval:
-    return ClopenInterval(None, hi)
+    return ClopenInterval(ZERO, hi + ONE)
 
 
 def span(lo: Ordinal, hi: Ordinal) -> ClopenInterval:
-    return ClopenInterval(lo, hi)
+    if not lo < hi:
+        raise DomainError(f"empty interval ({format_ordinal(lo)}, {format_ordinal(hi)}]")
+    return ClopenInterval(lo + ONE, hi + ONE)
 
 
 def order_type(iv: ClopenInterval) -> Ordinal:
@@ -128,7 +122,7 @@ def index_of(iv: ClopenInterval, t: Ordinal) -> Ordinal:
 
 def interval_intersect(a: ClopenInterval, b: ClopenInterval) -> Optional[ClopenInterval]:
     start, end = max(a.start, b.start), min(a.end, b.end)
-    return _interval(start, end) if start < end else None
+    return ClopenInterval(start, end) if start < end else None
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +147,7 @@ def _map_sub(src: ClopenInterval, tgt: ClopenInterval,
     """Image of a subinterval sub of src under the piece isomorphism."""
     if sub == src:
         return tgt
-    return _interval(_piece_map(src, tgt, sub.start), _piece_map(src, tgt, sub.end))
+    return ClopenInterval(_piece_map(src, tgt, sub.start), _piece_map(src, tgt, sub.end))
 
 
 def _format_piece(p: Piece, unicode: bool = False) -> str:
@@ -227,6 +221,8 @@ def build(pieces: Iterable[Piece | tuple[ClopenInterval, ClopenInterval]]) -> Pw
         if a != b:
             raise ValidationError(f"order type mismatch ({format_ordinal(a)} vs "
                                   f"{format_ordinal(b)}) in piece: {_format_piece(p)}")
+        if not a or p.source.end._key[-1][0] or p.target.end._key[-1][0]:  # starts: by the tiling
+            raise ValidationError(f"empty interval or limit end in piece: {p!r}")
     if not ps:
         return IDENTITY
     by_target = sorted(ps, key=_by_target)
@@ -250,8 +246,8 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
     for q in ps[1:]:
         p = runs[-1]
         if q.target.start == p.target.end:
-            runs[-1] = Piece(_interval(p.source.start, q.source.end),
-                             _interval(p.target.start, q.target.end))
+            runs[-1] = Piece(ClopenInterval(p.source.start, q.source.end),
+                             ClopenInterval(p.target.start, q.target.end))
         else:
             runs.append(q)
     p = runs[-1]
@@ -260,14 +256,14 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
         if s == c:
             runs.pop()
         elif (cut := s + _fix_threshold(p.source, p.target) + ONE) < e:
-            runs[-1] = Piece(_interval(s, cut), _interval(c, cut))
+            runs[-1] = Piece(ClopenInterval(s, cut), ClopenInterval(c, cut))
     out = []
     for p in runs:
         a, c = p.source.start, p.target.start
         if a.is_zero != c.is_zero and not order_type(p.source).is_finite:
             a1, c1 = a + ONE, c + ONE
-            out += [Piece(_interval(a, a1), _interval(c, c1)),
-                    Piece(_interval(a1, p.source.end), _interval(c1, p.target.end))]
+            out += [Piece(ClopenInterval(a, a1), ClopenInterval(c, c1)),
+                    Piece(ClopenInterval(a1, p.source.end), ClopenInterval(c1, p.target.end))]
         else:
             out.append(p)
     support = _pred(out[-1].source.end) if out else ZERO
@@ -314,7 +310,7 @@ def _extended_pieces(g: PwHomeo, end: Ordinal) -> list[Piece]:
     last = g.pieces[-1].source.end
     if last == end:
         return list(g.pieces)
-    iv = _interval(last, end)
+    iv = ClopenInterval(last, end)
     return [*g.pieces, Piece(iv, iv)]
 
 
@@ -349,15 +345,20 @@ def inverse(g: PwHomeo) -> PwHomeo:
     return _canonical([Piece(p.target, p.source) for p in g.pieces])
 
 
-def order_of(g: PwHomeo, cap: int = 10_000) -> Optional[int]:
-    """Least n >= 1 with g^n the identity, or None past the cap."""
-    h = g
-    n = 1
-    while not h.is_identity:
-        if n >= cap:
-            return None
-        h = compose(h, g)
-        n += 1
+def order_of(g: PwHomeo) -> int:
+    """Least n >= 1 with g^n the identity: the lcm of the cycle lengths of
+    the pieces' starts.  Their orbits cut [0, support] into cells that g
+    permutes, and a cell's only order automorphism is the identity.  An
+    orbit may never close: past ORDER_CAP cells this raises ResourceError."""
+    n, seen = 1, set()
+    for p in g.pieces:  # a target's start is in the orbit of its source's
+        x, known = p.source.start, len(seen)
+        while x not in seen:  # a new orbit, which closes at its start
+            if len(seen) == ORDER_CAP:
+                raise ResourceError(f"an orbit did not close within {ORDER_CAP} cells")
+            seen.add(x)
+            x = apply(g, x)
+        n = lcm(n, len(seen) - known or 1)
     return n
 
 
@@ -374,7 +375,7 @@ def interval_swap(i: ClopenInterval, j: ClopenInterval) -> PwHomeo:
     pieces = [Piece(i, j), Piece(j, i)]
     for start, end in ((ZERO, lower.start), (lower.end, upper.start)):
         if start < end:
-            gap = _interval(start, end)
+            gap = ClopenInterval(start, end)
             pieces.append(Piece(gap, gap))
     return build(pieces)
 
@@ -386,7 +387,7 @@ def swap_points(x: Ordinal, y: Ordinal) -> PwHomeo:
     for p in (x, y):
         if rank(p) != ZERO:
             raise DomainError(f"{format_ordinal(p)} is not isolated (rank > 0)")
-    return interval_swap(_interval(x, x + ONE), _interval(y, y + ONE))
+    return interval_swap(ClopenInterval(x, x + ONE), ClopenInterval(y, y + ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +600,7 @@ def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
         raise DomainError(f"[0, {format_ordinal(alpha)}] is not invariant")
     i = _locate(g, alpha)
     p = g.pieces[i]
-    sub = _interval(p.source.start, alpha + ONE)
+    sub = ClopenInterval(p.source.start, alpha + ONE)
     return build([*g.pieces[:i], Piece(sub, _map_sub(p.source, p.target, sub))])
 
 
@@ -648,7 +649,7 @@ def format_homeo(g: PwHomeo, unicode: bool = False) -> str:
 
 def parse_homeo(text: str) -> PwHomeo:
     ends: dict = {}  # one object per endpoint value, which bounds up to four intervals
-    ivs = [_interval(*(ends.setdefault(x, x) for x in (iv.start, iv.end)))
+    ivs = [ClopenInterval(*(ends.setdefault(x, x) for x in (iv.start, iv.end)))
            for _, left, right in _split_lines(text, "->", "'interval -> interval'")
            for iv in (parse_interval(left), parse_interval(right))]
     return build(zip(ivs[::2], ivs[1::2]))

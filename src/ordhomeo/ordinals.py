@@ -15,7 +15,7 @@ All values are immutable and hashable, and every operation here is pure.
 The package's records (`PointClass` here, most value types of `homeo`,
 `dynamics` and `sieve`) share the base `_Record`: immutable fields in
 `__slots__`, equality (same type only) and hashing by value, and a
-dataclass-style repr such as `ClopenInterval(lo=None, hi=w)`.
+dataclass-style repr such as `ClopenInterval(start=0, end=w + 1)`.
 
 Points of an uncountable well-ordered segment are modelled by these
 values: every construction in the package, run at desk scale, stays far
@@ -26,9 +26,9 @@ Conventions used throughout:
   * rank(x) is the exponent of the last CNF term (the Cantor-Bendixson
     rank of x as a point of a large enough segment); rank(0) = 0 since 0
     is isolated.
-  * a nesting-depth cap (default 32) guards `omega_pow` towers and
-    parenthesis nesting in the parser; blowing it raises ResourceError
-    rather than silently truncating.
+  * a fixed nesting-depth cap, DEPTH_CAP = 32, guards `omega_pow` towers
+    and parenthesis nesting in the parser; blowing it raises
+    ResourceError rather than silently truncating.
 """
 
 import operator
@@ -36,7 +36,7 @@ import sys
 
 from .errors import DomainError, ParseError, ResourceError
 
-DEFAULT_DEPTH_CAP = 32
+DEPTH_CAP = 32
 
 
 def _immutable(self, name, value=None):
@@ -84,7 +84,7 @@ class Ordinal:
     @property
     def terms(self) -> tuple[tuple["Ordinal", int], ...]:
         """The CNF terms as (exponent, coefficient) pairs, largest first."""
-        return tuple((_make(e), c) for e, c in self._key)
+        return tuple([(_make(e), c) for e, c in self._key])
 
     @property
     def is_zero(self) -> bool:
@@ -225,11 +225,11 @@ def nesting_depth(x: Ordinal) -> int:
     return _depth(x._key)
 
 
-def omega_pow(e: Ordinal, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ordinal:
+def omega_pow(e: Ordinal) -> Ordinal:
     """w raised to the ordinal e, as a single CNF term."""
     e = Ordinal(e)
-    if 1 + nesting_depth(e) > depth_cap:
-        raise ResourceError(f"exponent tower deeper than {depth_cap}")
+    if 1 + nesting_depth(e) > DEPTH_CAP:
+        raise ResourceError(f"exponent tower deeper than {DEPTH_CAP}")
     return _make(((e._key, 1),))
 
 
@@ -357,16 +357,15 @@ def cb_rank_segment(beta: Ordinal) -> Ordinal:
 # Whitespace is insignificant.  Evaluation is left-associative with
 # ordinal semantics; the formatter emits canonical CNF in the same
 # grammar, e.g.  "w^(w)*2 + w^2 + 3".  The depth cap bounds `w^` and
-# group nesting separately, so at the default cap no input exhausts the
+# group nesting separately, so at this cap no input exhausts the
 # Python stack; past CPython's limit on int/str digits, parse and format
 # raise ResourceError.
 
 
 class _Parser:
-    def __init__(self, text: str, depth_cap: int):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.depth_cap = depth_cap
         self.towers = 0
         self.groups = 0
 
@@ -426,12 +425,12 @@ class _Parser:
                 return OMEGA
             self.take("^")
             self.towers += 1
-            if self.towers > self.depth_cap:
+            if self.towers > DEPTH_CAP:
                 # w^ nesting bounds the value's tower height from below
-                raise ResourceError(f"exponent tower deeper than {self.depth_cap}")
+                raise ResourceError(f"exponent tower deeper than {DEPTH_CAP}")
             e = self.factor()
             self.towers -= 1
-            return omega_pow(e, self.depth_cap)
+            return omega_pow(e)
         if c == "(":
             return self.group()
         if c.isdecimal():
@@ -441,16 +440,16 @@ class _Parser:
     def group(self) -> Ordinal:
         self.take("(")
         self.groups += 1
-        if self.groups > self.depth_cap:
-            raise ResourceError(f"parentheses nested deeper than {self.depth_cap}")
+        if self.groups > DEPTH_CAP:
+            raise ResourceError(f"parentheses nested deeper than {DEPTH_CAP}")
         value = self.expr()
         self.take(")")
         self.groups -= 1
         return value
 
 
-def parse_ordinal(text: str, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ordinal:
-    p = _Parser(text, depth_cap)
+def parse_ordinal(text: str) -> Ordinal:
+    p = _Parser(text)
     value = p.expr()
     p.skip_ws()
     if p.pos != len(text):

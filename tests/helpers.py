@@ -31,7 +31,8 @@ def pair_sub(x, y):
     """xi with x + xi = y; requires x <= y (lexicographic)."""
     a, b = x
     c, d = y
-    assert x <= y
+    if x > y:
+        raise AssertionError(f"pair_sub needs x <= y, got {x} > {y}")
     if a == c:
         return (0, d - b)
     return (c - a, d)

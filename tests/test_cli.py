@@ -2,6 +2,7 @@ import io
 import random
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,18 @@ def test_fixpoint_above_a_slow_climb(tmp_path, capsys):
     assert run_cli(["homeo", "fixpoint-above", "w", str(path)]) == (0, "w*2\n")
     assert run_cli(["homeo", "fixpoint-above", "0", str(path)]) == (0, "w*2\n")
     assert capsys.readouterr().err == ""
+
+
+def test_order_of_an_infinite_order_map_is_a_resource_error(tmp_path, capsys):
+    # 2, 3, ... shift up by one, so the orbit of 2 never closes
+    path = tmp_path / "shift.hom"
+    path.write_text("[0, 1] -> [0, 1]\n(1, w] -> (2, w]\n(w, w + 1] -> (1, 2]\n"
+                    "(w + 1, w*2] -> (w, w*2]\n")
+    start = time.perf_counter()
+    assert run_cli(["homeo", "order", str(path)]) == (3, "")
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("resource error:")
 
 
 def test_roelcke_on_a_map_that_fixes_its_last_point(tmp_path, capsys):

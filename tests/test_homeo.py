@@ -5,9 +5,10 @@ import pytest
 
 from ordhomeo import homeo
 from ordhomeo.dynamics import in_baire_T
-from ordhomeo.errors import DomainError, ValidationError
+from ordhomeo.errors import DomainError, ResourceError, ValidationError
 from ordhomeo.homeo import (
     IDENTITY,
+    ClopenInterval,
     OrdinalSet,
     Piece,
     PwHomeo,
@@ -109,6 +110,19 @@ class TestBuild:
     def test_type_mismatch(self):
         with pytest.raises(ValidationError, match=r"order type mismatch \(w \+ 1 vs w\*2 \+ 1\)"):
             build([(initial(OMEGA), span(ZERO, o("w*2")))])
+
+    @pytest.mark.parametrize("pieces", [
+        # [0, w) <-> [w, w*2) tiles, but neither interval is closed
+        [(ClopenInterval(ZERO, OMEGA), ClopenInterval(OMEGA, OMEGA * 2)),
+         (ClopenInterval(OMEGA, OMEGA * 2), ClopenInterval(ZERO, OMEGA))],
+        # an empty piece at w + 1, ahead of the piece that starts there
+        [(ClopenInterval(OMEGA + 1, OMEGA + 1), ClopenInterval(OMEGA + 1, OMEGA + 1)),
+         (initial(OMEGA), initial(OMEGA)), (span(OMEGA, OMEGA + 1), span(OMEGA, OMEGA + 1))],
+    ], ids=["limit-ends", "empty"])
+    def test_hand_built_intervals_must_be_clopen_and_nonempty(self, pieces):
+        # the constructor trusts its ends, so build checks them
+        with pytest.raises(ValidationError, match="empty interval or limit end"):
+            build(pieces)
 
     def test_infinite_mixed_piece_rejected(self):
         # [0, w] has order type w + 1 and (0, w + 1] has w + 2
@@ -284,7 +298,7 @@ class TestCanonicalCheck:
 
     @pytest.mark.parametrize("g, message", [
         (PwHomeo((), ONE), "the identity has support 1"),
-        (hand_built((homeo._interval(ZERO, OMEGA),) * 2), "source end w is not a successor"),
+        (hand_built((ClopenInterval(ZERO, OMEGA),) * 2), "source end w is not a successor"),
         (hand_built((span(ZERO, o("1")), initial(ZERO)), (initial(ZERO), span(ZERO, o("1")))),
          "sources do not tile in order"),
         (hand_built((initial(ZERO), span(ZERO, OMEGA)), (span(ZERO, OMEGA), initial(ZERO))),
@@ -369,11 +383,12 @@ class TestApplyCompose:
         cyc = compose(interval_swap(span(ZERO, OMEGA), span(OMEGA, w2)),
                       interval_swap(span(OMEGA, w2), span(w2, w3)))
         assert order_of(cyc) == 3
-        assert order_of(cyc, cap=2) is None
 
     def test_order_of_infinite_order_map(self):
-        # the integer-shift map never returns to the identity
-        assert order_of(shift_up_map(), cap=60) is None
+        # the integer-shift map never returns to the identity: the orbit
+        # of 2 never closes
+        with pytest.raises(ResourceError, match="10000 cells"):
+            order_of(shift_up_map())
 
     def test_group_laws_random(self):
         rng = random.Random(13)
@@ -825,6 +840,18 @@ class TestLinearPieceAlgebra:
             for g in gs[1:]:
                 want = intersect_ref(want, fixed_points(g))
             assert common_fixed_points(gs) == want
+
+    def test_fixed_runs_that_touch_are_merged(self):
+        # A fixes its support point w*2, so its fixed run [w*2, w*2 + 1)
+        # ends where its tail starts, and the walk yields (w*2, w*2 + 1)
+        # and then (w*2 + 1, w*3 + 1): only from_parts' merge joins them
+        a = parse_homeo("[0, 0] -> (w, w+1]\n(0, w] -> [0, w]\n(w, w*2] -> (w+1, w*2]\n")
+        b = swap_points(o("w*3 + 1"), o("w*3 + 2"))
+        runs = homeo._common_runs([homeo._runs(g, fixed=True) for g in (a, b)], ZERO)
+        assert [(o("w*2"), o("w*2 + 1")), (o("w*2 + 1"), o("w*3 + 1"))] == list(runs)[1:3]
+        common = common_fixed_points([a, b])
+        assert format_ordinal_set(common) == "{w} ∪ [w*2, w*3] ∪ (w*3 + 2, ∞)"
+        assert common == intersect_ref(fixed_points(a), fixed_points(b))
 
 
 # ---------------------------------------------------------------------------
@@ -1287,3 +1314,85 @@ class TestRunWalkMembership:
             s = OrdinalSet.from_parts(parts, tail)
             for x in GRID:
                 assert s.contains(x) == contains_ref(s, x)
+
+
+# ---------------------------------------------------------------------------
+# element orders read off the cycles of the piece starts against the
+# powering loop they replaced, kept here as a reference
+
+
+def order_of_ref(g: PwHomeo, cap: int):
+    """Least n >= 1 with g^n the identity, by composing powers of g, or
+    None once n reaches the cap."""
+    h = g
+    n = 1
+    while not h.is_identity:
+        if n >= cap:
+            return None
+        h = compose(h, g)
+        n += 1
+    return n
+
+
+def power(g: PwHomeo, n: int) -> PwHomeo:
+    """g^n by repeated squaring."""
+    out = IDENTITY
+    while n:
+        if n & 1:
+            out = compose(out, g)
+        g = compose(g, g)
+        n >>= 1
+    return out
+
+
+def prime_factors(n: int) -> set[int]:
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+def check_order(g: PwHomeo, n: int) -> None:
+    """g^n is the identity and g^(n/p) is not, for every prime p dividing n."""
+    assert power(g, n).is_identity
+    for p in prime_factors(n):
+        assert not power(g, n // p).is_identity
+
+
+class TestOrderByCycles:
+    def test_order_of_matches_the_powering(self):
+        rng = random.Random(46)
+        maps = [random_homeo(rng, max_moves=6) for _ in range(80)]
+        maps += [compose(g, h) for g, h in zip(maps[::2], maps[1::2])]
+        answered = 0
+        for g in maps + [shift_up_map(), swap_0w()]:
+            try:
+                got = order_of(g)
+            except ResourceError:
+                got = None
+            want = order_of_ref(g, 200)
+            if want is None:  # the order is 200 or more, or infinite
+                assert got is None or got >= 200
+            else:
+                assert got == want
+                answered += 1
+        assert answered > 100
+
+    def test_large_orders_pass_the_power_check(self):
+        rng = random.Random(47)
+        maps = [compose(g, h) for g, h in large_map_pairs(rng)]
+        maps.append(compose(maps[0], inverse(maps[1])))
+        orders = [order_of(g) for g in maps]
+        assert max(orders) > 10_000  # past the reference's reach
+        for g, n in zip(maps, orders):
+            check_order(g, n)
+
+    def test_a_long_cycle(self):
+        # 0 -> 2 -> ... -> 600 -> 601 -> 599 -> ... -> 3 -> 1 -> 0
+        cycle = [*range(0, 601, 2), *range(601, 0, -2)]
+        g = build((point(x), point(y)) for x, y in zip(cycle, cycle[1:] + cycle[:1]))
+        assert order_of(g) == 602
+        check_order(g, 602)

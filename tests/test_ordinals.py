@@ -86,7 +86,7 @@ class TestParseFormat:
         deep = "w^" * 40 + "w"
         with pytest.raises(ResourceError):
             parse_ordinal(deep)
-        assert parse_ordinal("w^" * 8 + "w", depth_cap=32)
+        assert parse_ordinal("w^" * 8 + "w")
         assert parse_ordinal("(" * 32 + "1" + ")" * 32) == ONE
         with pytest.raises(ResourceError):
             parse_ordinal("(" * 33 + "1" + ")" * 33)

@@ -122,13 +122,14 @@ def _records():
     return [
         (lambda: PointClass("successor", o("w + 2")),
          "PointClass(kind='successor', predecessor=w + 2)"),
-        (lambda: ClopenInterval(None, o("w")), "ClopenInterval(lo=None, hi=w)"),
+        (lambda: initial(o("w")), "ClopenInterval(start=0, end=w + 1)"),
         (lambda: Piece(span(o("w"), o("w*2")), initial(ONE)),
-         "Piece(source=ClopenInterval(lo=w, hi=w*2), target=ClopenInterval(lo=None, hi=1))"),
+         "Piece(source=ClopenInterval(start=w + 1, end=w*2 + 1), "
+         "target=ClopenInterval(start=0, end=2))"),
         (lambda: PwHomeo(pieces(), ONE),
-         "PwHomeo(pieces=(Piece(source=ClopenInterval(lo=None, hi=0), "
-         "target=ClopenInterval(lo=0, hi=1)), Piece(source=ClopenInterval(lo=0, hi=1), "
-         "target=ClopenInterval(lo=None, hi=0))), support=1)"),
+         "PwHomeo(pieces=(Piece(source=ClopenInterval(start=0, end=1), "
+         "target=ClopenInterval(start=1, end=2)), Piece(source=ClopenInterval(start=1, end=2), "
+         "target=ClopenInterval(start=0, end=1))), support=1)"),
         (lambda: OrdinalSet(((ZERO, ZERO),), o("w*2")),
          "OrdinalSet(intervals=((0, 0),), tail_from=w*2)"),
         (lambda: ConstraintSystem(((ONE, frozenset([OMEGA])),)),
@@ -188,10 +189,8 @@ def test_unpickling_a_map_goes_through_build():
 
 
 def test_unpickling_an_empty_interval_is_refused():
-    empty = object.__new__(ClopenInterval)  # skips the constructor's check
-    _set(empty, "start", OMEGA * 2 + ONE)
-    _set(empty, "end", OMEGA + ONE)
-    assert empty.__reduce__() == (ClopenInterval, (OMEGA * 2, OMEGA))
+    empty = ClopenInterval(OMEGA * 2 + ONE, OMEGA + ONE)  # the constructor trusts its ends
+    assert empty.__reduce__() == (span, (OMEGA * 2, OMEGA))
     with pytest.raises(DomainError):
         pickle.loads(pickle.dumps(empty))
 
