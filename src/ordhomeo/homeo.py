@@ -16,9 +16,9 @@ The canonical form merges every run of target-contiguous pieces, cuts
 the identity suffix off the last, and writes a piece starting at 0 on
 one side only and of infinite order type as its first point plus the rest.
 
-Fixed-point sets are computed exactly, as finite unions of closed
-intervals plus an unbounded tail, via the absorption law for the starts
-a, c of a piece:  a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
+Fixed-point sets are computed exactly, as the walk's half-open runs
+(below), via the absorption law for the starts a, c of a piece:
+a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
 `compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons.
 `apply`, `sup_image` and `restrict_to_initial` find a point's piece
@@ -32,7 +32,7 @@ every interval, and met with the other maps' runs.
 from __future__ import annotations
 
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ParseError, ResourceError, ValidationError
@@ -41,8 +41,8 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
-    _drop_last,
     _make,
+    _pred,
     _Record,
     _set,
     _split_lines,
@@ -58,11 +58,6 @@ ORDER_CAP = 10_000  # most cells `order_of` follows
 
 # ---------------------------------------------------------------------------
 # clopen intervals
-
-
-def _pred(x: Ordinal) -> Ordinal:
-    """x - 1 for a successor x: one less in the last term of its key."""
-    return _make(_drop_last(x._key))
 
 
 class ClopenInterval(_Record):
@@ -395,68 +390,69 @@ def swap_points(x: Ordinal, y: Ordinal) -> PwHomeo:
 
 
 class OrdinalSet(_Record):
-    """Finite union of closed intervals [lo, hi] (points are degenerate
-    intervals) plus an optional unbounded tail ]tail_from, oo[.
-    Construct through from_parts, which normalizes.  Whether a map fixes
-    an integer at or above n is no set query: `dynamics.in_baire_T`
-    walks the map's fixed runs instead."""
+    """Increasing half-open runs (lo, end), neither overlapping nor
+    touching, only the last one unbounded (lo, None); the constructor
+    trusts them.  `from_parts` normalizes the closed form, pairs [lo, hi]
+    and a tail ]tail_from, oo[, which is derived when read; copy and
+    pickle go through it.  For fixed integers above n see `dynamics.in_baire_T`."""
 
-    __slots__ = ("intervals", "tail_from")
+    __slots__ = ("runs",)
 
-    def __init__(self, intervals: tuple[tuple[Ordinal, Ordinal], ...],
-                 tail_from: Optional[Ordinal]):
-        _set(self, "intervals", intervals)
-        _set(self, "tail_from", tail_from)
+    def __init__(self, runs: tuple[tuple[Ordinal, Optional[Ordinal]], ...]):
+        _set(self, "runs", runs)
+
+    def __reduce__(self):
+        return OrdinalSet.from_parts, (self.intervals, self.tail_from)
 
     @staticmethod
     def from_parts(parts: Iterable[tuple[Ordinal, Ordinal]],
                    tail_from: Optional[Ordinal]) -> "OrdinalSet":
-        ivs = sorted((lo, hi) for lo, hi in parts if lo <= hi)
-        merged: list[tuple[Ordinal, Ordinal]] = []
-        for lo, hi in ivs:
-            if merged and lo <= merged[-1][1] + ONE:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        t = tail_from
-        if t is not None:
-            merged = [(lo, min(hi, t)) for lo, hi in merged if lo <= t]
-            if merged and merged[-1][1] == t:
-                lo = merged[-1][0]
-                if lo and rank(lo).is_zero:  # a successor
-                    merged.pop()
-                    t = _pred(lo)
-                else:
-                    # lo is 0 or a limit: [lo, t] + ]t, oo[ = {lo} + ]lo, oo[
-                    merged[-1] = (lo, lo)
-                    t = lo
-        return OrdinalSet(tuple(merged), t)
+        runs = [(lo, hi + ONE) for lo, hi in parts if lo <= hi]
+        if tail_from is not None:
+            runs.append((tail_from + ONE, None))
+        return OrdinalSet(_joined(sorted(runs, key=itemgetter(0))))
+
+    @property
+    def tail_from(self) -> Optional[Ordinal]:
+        """[t, oo) is ]t - 1, oo[ for a successor t, else {t} plus ]t, oo[."""
+        if not self.runs or self.runs[-1][1] is not None:
+            return None
+        t = self.runs[-1][0]
+        return _pred(t) if t and rank(t).is_zero else t
+
+    @property
+    def intervals(self) -> tuple[tuple[Ordinal, Ordinal], ...]:
+        ivs = tuple((lo, _pred(end)) for lo, end in self.runs if end is not None)
+        t = self.tail_from
+        return ivs + ((t, t),) if t is not None and t == self.runs[-1][0] else ivs
 
     def contains(self, x: Ordinal) -> bool:
         return self.least_geq(x) == x
 
     def is_empty(self) -> bool:
-        return not self.intervals and self.tail_from is None
+        return not self.runs
 
     def least_geq(self, alpha: Ordinal) -> Optional[Ordinal]:
-        """Least member >= alpha; None only for sets with no member
-        there (a set with a tail always has one)."""
-        best: Optional[Ordinal] = None
-        for lo, hi in self.intervals:
-            if hi >= alpha:
-                best = max(lo, alpha)
-                break
-        if self.tail_from is not None:
-            cand = max(alpha, self.tail_from + ONE)
-            if best is None or cand < best:
-                best = cand
-        return best
+        """Least member >= alpha; None if there is none."""
+        for lo, end in self.runs:
+            if end is None or alpha < end:
+                return max(lo, alpha)
+        return None
 
     def has_cofinal_integers(self) -> bool:
         """Arbitrarily large finite members?"""
-        if self.tail_from is not None and self.tail_from < OMEGA:
-            return True
-        return any(lo < OMEGA <= hi for lo, hi in self.intervals)
+        return any(lo < OMEGA and (end is None or OMEGA < end) for lo, end in self.runs)
+
+
+def _joined(runs) -> tuple[tuple[Ordinal, Optional[Ordinal]], ...]:
+    """Runs sorted by start, with every two that overlap or touch joined."""
+    out = []
+    for lo, end in runs:
+        if out and (out[-1][1] is None or lo <= out[-1][1]):
+            lo, top = out.pop()
+            end = end and top and max(end, top)  # None, unbounded, is the only falsy end
+        out.append((lo, end))
+    return tuple(out)
 
 
 def format_ordinal_set(s: OrdinalSet, unicode: bool = False) -> str:
@@ -490,12 +486,11 @@ def fixed_points(g: PwHomeo) -> OrdinalSet:
 
 
 def common_fixed_points(gs: Sequence[PwHomeo]) -> OrdinalSet:
-    """The points every map of gs fixes: the common fixed runs, the last
-    one [lo, oo) written as {lo} plus the tail past lo."""
+    """The points every map of gs fixes: the common fixed runs, joined
+    where they touch (as where a map fixes its support point)."""
     if not gs:
         raise DomainError("need at least one map")
-    *parts, (lo, _) = _common_runs([_runs(g, fixed=True) for g in gs], ZERO)
-    return OrdinalSet.from_parts([*((a, _pred(end)) for a, end in parts), (lo, lo)], lo)
+    return OrdinalSet(_joined(_common_runs([_runs(g, fixed=True) for g in gs], ZERO)))
 
 
 def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
@@ -649,7 +644,7 @@ def format_homeo(g: PwHomeo, unicode: bool = False) -> str:
 
 def parse_homeo(text: str) -> PwHomeo:
     ends: dict = {}  # one object per endpoint value, which bounds up to four intervals
-    ivs = [ClopenInterval(*(ends.setdefault(x, x) for x in (iv.start, iv.end)))
-           for _, left, right in _split_lines(text, "->", "'interval -> interval'")
-           for iv in (parse_interval(left), parse_interval(right))]
-    return build(zip(ivs[::2], ivs[1::2]))
+    def piece(left: str, right: str) -> Piece:
+        return Piece(*(ClopenInterval(*(ends.setdefault(x, x) for x in (iv.start, iv.end)))
+                       for iv in (parse_interval(left), parse_interval(right))))
+    return build(_split_lines(text, "->", "'interval -> interval'", piece))

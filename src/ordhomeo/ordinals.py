@@ -187,10 +187,10 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return i
 
 
-def _drop_last(key: tuple) -> tuple:
-    """A nonzero key minus one copy of its last term."""
-    e, c = key[-1]
-    return key[:-1] + (((e, c - 1),) if c > 1 else ())
+def _pred(x: "Ordinal") -> "Ordinal":
+    """A nonzero x minus one copy of its last term: x - 1 for a successor."""
+    e, c = x._key[-1]
+    return _make(x._key[:-1] + (((e, c - 1),) if c > 1 else ()))
 
 
 ZERO = _make(())
@@ -289,7 +289,7 @@ def classify(x: Ordinal) -> PointClass:
         return PointClass("zero")
     if x._key[-1][0]:
         return PointClass("limit")
-    return PointClass("successor", _make(_drop_last(x._key)))
+    return PointClass("successor", _pred(x))
 
 
 def absorb_threshold(a: Ordinal) -> Ordinal:
@@ -337,7 +337,7 @@ def isolating_left_endpoint(y: Ordinal) -> Ordinal:
     rank(y): y minus one copy of its last term."""
     if not y._key:
         raise DomainError("0 has no left neighbourhood")
-    return _make(_drop_last(y._key))
+    return _pred(y)
 
 
 def cb_rank_segment(beta: Ordinal) -> Ordinal:
@@ -483,15 +483,20 @@ def format_ordinal(x: Ordinal, unicode: bool = False) -> str:
                             " digits") from None
 
 
-def _split_lines(text: str, sep: str, shape: str):
-    """(line number, left, right) for each record line of a line-based
-    file format, split at the first sep; blank and "#" lines are skipped,
-    and a line without sep is a ParseError naming the expected shape."""
+def _split_lines(text: str, sep: str, shape: str, parse) -> list:
+    """parse(left, right) per record line of a line-based file format,
+    split at the first sep (else "expected <shape>"), skipping blank and
+    "#" lines; a ParseError or DomainError names its line: "line N: ..."."""
+    records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if sep not in line:
-            raise ParseError(f"line {lineno}: expected {shape}")
-        left, _, right = line.partition(sep)
-        yield lineno, left, right
+        left, found, right = line.partition(sep)
+        try:
+            if not found:
+                raise ParseError(f"expected {shape}")
+            records.append(parse(left, right))
+        except (ParseError, DomainError) as err:
+            raise type(err)(f"line {lineno}: {err}") from None
+    return records

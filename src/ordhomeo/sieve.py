@@ -241,15 +241,14 @@ def format_constraints(cs: ConstraintSystem, unicode: bool = False) -> str:
 
 
 def parse_constraints(text: str) -> ConstraintSystem:
-    items = []
-    for lineno, left, right in _split_lines(text, ":", "'point : { values }'"):
+    def constraint(left: str, right: str):
         right = right.strip()
         if not right.startswith("{") or not right.endswith("}"):
-            raise ParseError(f"line {lineno}: expected a braced value set")
+            raise ParseError("expected a braced value set")
         body = right[1:-1].strip()
         vals = [parse_ordinal(part) for part in body.split(",")] if body else []
-        items.append((parse_ordinal(left), vals))
-    return ConstraintSystem.of(items)
+        return parse_ordinal(left), vals
+    return ConstraintSystem.of(_split_lines(text, ":", "'point : { values }'", constraint))
 
 
 def format_injection(h: PartialInjection, unicode: bool = False) -> str:
@@ -261,8 +260,8 @@ def format_injection(h: PartialInjection, unicode: bool = False) -> str:
 
 
 def parse_injection(text: str) -> PartialInjection:
-    pairs = [(parse_ordinal(left), parse_ordinal(right))
-             for _, left, right in _split_lines(text, "->", "'from -> to'")]
+    pairs = _split_lines(text, "->", "'from -> to'",
+                         lambda left, right: (parse_ordinal(left), parse_ordinal(right)))
     h = PartialInjection(tuple(pairs))
     h.validate()
     return h

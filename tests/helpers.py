@@ -207,3 +207,21 @@ def check_canonical(g: PwHomeo) -> None:
         fixed_from = last.source.start + absorb_threshold(left_subtract(lo, hi))
         if fixed_from + ONE < last.source.end:
             fail(f"identity tail past {fixed_from} in the last piece")
+
+
+# ---------------------------------------------------------------------------
+# ordinal sets
+
+
+def check_set_runs(s) -> None:
+    """Raise AssertionError, also under -O, unless s's runs are in the
+    normal form: half-open (lo, end) with lo < end, increasing, neighbours
+    neither overlapping nor touching, and only the last unbounded."""
+    runs = s.runs
+    for k, (lo, end) in enumerate(runs):
+        if end is None and k != len(runs) - 1:
+            raise AssertionError(f"unbounded run from {lo} is not the last: {runs}")
+        if end is not None and not lo < end:
+            raise AssertionError(f"empty run [{lo}, {end}): {runs}")
+        if k and not runs[k - 1][1] < lo:
+            raise AssertionError(f"runs {runs[k - 1]} and {(lo, end)} overlap or touch")

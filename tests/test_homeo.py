@@ -38,10 +38,10 @@ from ordhomeo.homeo import (
     sup_image,
     swap_points,
 )
-from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, diff_exponent,
-                               left_subtract, omega_pow, rank)
+from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, classify,
+                               diff_exponent, format_ordinal, left_subtract, omega_pow, rank)
 
-from helpers import GRID, check_canonical, o, random_homeo
+from helpers import GRID, check_canonical, check_set_runs, o, random_homeo
 
 
 def swap_0w() -> PwHomeo:
@@ -839,17 +839,20 @@ class TestLinearPieceAlgebra:
             want = fixed_points(gs[0])
             for g in gs[1:]:
                 want = intersect_ref(want, fixed_points(g))
-            assert common_fixed_points(gs) == want
+            got = common_fixed_points(gs)
+            check_set_runs(got)
+            assert got == want
 
     def test_fixed_runs_that_touch_are_merged(self):
         # A fixes its support point w*2, so its fixed run [w*2, w*2 + 1)
         # ends where its tail starts, and the walk yields (w*2, w*2 + 1)
-        # and then (w*2 + 1, w*3 + 1): only from_parts' merge joins them
+        # and then (w*2 + 1, w*3 + 1): only _joined joins them
         a = parse_homeo("[0, 0] -> (w, w+1]\n(0, w] -> [0, w]\n(w, w*2] -> (w+1, w*2]\n")
         b = swap_points(o("w*3 + 1"), o("w*3 + 2"))
         runs = homeo._common_runs([homeo._runs(g, fixed=True) for g in (a, b)], ZERO)
         assert [(o("w*2"), o("w*2 + 1")), (o("w*2 + 1"), o("w*3 + 1"))] == list(runs)[1:3]
         common = common_fixed_points([a, b])
+        check_set_runs(common)
         assert format_ordinal_set(common) == "{w} ∪ [w*2, w*3] ∪ (w*3 + 2, ∞)"
         assert common == intersect_ref(fixed_points(a), fixed_points(b))
 
@@ -1307,13 +1310,96 @@ class TestRunWalkMembership:
         assert meets_integers_from_ref(fixed_points(g), n) is want
 
     def test_contains_matches_the_scan(self):
+        # the runs against the closed form the set stored before: the
+        # same intervals and tail, printed form and queries
         rng = random.Random(45)
-        for _ in range(60):
-            parts = [tuple(sorted(rng.sample(GRID, 2))) for _ in range(rng.randint(0, 4))]
-            tail = rng.choice([None, *rng.sample(GRID, 2)])
+        joined = 0
+        for _ in range(300):
+            parts, tail = random_parts(rng)
             s = OrdinalSet.from_parts(parts, tail)
+            check_set_runs(s)
+            ivs, t = from_parts_ref(parts, tail)
+            assert (s.intervals, s.tail_from) == (ivs, t)
+            assert format_ordinal_set(s) == format_set_ref(ivs, t)
+            assert s.has_cofinal_integers() == has_cofinal_integers_ref(ivs, t)
             for x in GRID:
+                assert s.least_geq(x) == least_geq_ref(ivs, t, x)
                 assert s.contains(x) == contains_ref(s, x)
+            joined += len(s.runs) < len(parts) + (tail is not None)  # or an empty part dropped
+        assert joined >= 100
+
+
+# ---------------------------------------------------------------------------
+# the closed-form set the runs replaced, kept here as a reference: closed
+# pairs [lo, hi] merged on hi + 1, then clipped at a tail ]t, oo[
+
+
+def from_parts_ref(parts, tail_from):
+    """(intervals, tail_from) in the closed form."""
+    ivs = sorted((lo, hi) for lo, hi in parts if lo <= hi)
+    merged = []
+    for lo, hi in ivs:
+        if merged and lo <= merged[-1][1] + ONE:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    t = tail_from
+    if t is not None:
+        merged = [(lo, min(hi, t)) for lo, hi in merged if lo <= t]
+        if merged and merged[-1][1] == t:
+            lo = merged[-1][0]
+            if classify(lo).kind == "successor":
+                merged.pop()
+                t = classify(lo).predecessor
+            else:
+                # lo is 0 or a limit: [lo, t] + ]t, oo[ = {lo} + ]lo, oo[
+                merged[-1] = (lo, lo)
+                t = lo
+    return tuple(merged), t
+
+
+def least_geq_ref(intervals, tail_from, alpha):
+    best = None
+    for lo, hi in intervals:
+        if hi >= alpha:
+            best = max(lo, alpha)
+            break
+    if tail_from is not None:
+        cand = max(alpha, tail_from + ONE)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def has_cofinal_integers_ref(intervals, tail_from) -> bool:
+    if tail_from is not None and tail_from < OMEGA:
+        return True
+    return any(lo < OMEGA <= hi for lo, hi in intervals)
+
+
+def format_set_ref(intervals, tail_from) -> str:
+    parts = [f"{{{format_ordinal(lo)}}}" if lo == hi
+             else f"[{format_ordinal(lo)}, {format_ordinal(hi)}]" for lo, hi in intervals]
+    if tail_from is not None:
+        parts.append(f"({format_ordinal(tail_from)}, ∞)")
+    return " ∪ ".join(parts) or "∅"
+
+
+def random_parts(rng: random.Random):
+    """Up to five closed pairs of grid points, some empty or single points,
+    many touching or overlapping an earlier one, and a tail: none, at 0,
+    at a successor or a limit of the grid, or at or inside a pair."""
+    parts = []
+    for _ in range(rng.randint(0, 5)):
+        lo, hi = sorted(rng.sample(GRID, 2))
+        if parts and rng.random() < 0.6:
+            a, b = rng.choice(parts)
+            lo = rng.choice([a, b, b + ONE, max(a, lo)])  # overlapping or touching
+            hi = rng.choice([lo, hi, b + ONE])
+        parts.append((lo, hi))
+    ends = [x for part in parts for x in part]
+    tails = [None, ZERO, rng.choice(GRID), OMEGA * rng.randint(1, 6), *ends[:1], *ends[-1:]]
+    return parts, rng.choice(tails)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from ordhomeo.dynamics import TransitivityProblem
 from ordhomeo.errors import DomainError, ParseError, ValidationError
 from ordhomeo.homeo import (ClopenInterval, OrdinalSet, Piece, PwHomeo, initial, parse_homeo,
                            span)
-from ordhomeo.ordinals import OMEGA, ONE, ZERO, PointClass, _set, parse_ordinal
+from ordhomeo.ordinals import OMEGA, ONE, ZERO, Ordinal, PointClass, _set, parse_ordinal
 from ordhomeo.sieve import (ConstraintSystem, FinitePermutation, PartialInjection,
                             parse_constraints, parse_injection)
 
@@ -130,8 +130,8 @@ def _records():
          "PwHomeo(pieces=(Piece(source=ClopenInterval(start=0, end=1), "
          "target=ClopenInterval(start=1, end=2)), Piece(source=ClopenInterval(start=1, end=2), "
          "target=ClopenInterval(start=0, end=1))), support=1)"),
-        (lambda: OrdinalSet(((ZERO, ZERO),), o("w*2")),
-         "OrdinalSet(intervals=((0, 0),), tail_from=w*2)"),
+        (lambda: OrdinalSet.from_parts([(ZERO, ZERO)], o("w*2")),
+         "OrdinalSet(runs=((0, 1), (w*2 + 1, None)))"),
         (lambda: ConstraintSystem(((ONE, frozenset([OMEGA])),)),
          "ConstraintSystem(constraints=((1, frozenset({w})),))"),
         (lambda: PartialInjection(((ONE, OMEGA),)), "PartialInjection(pairs=((1, w),))"),
@@ -195,6 +195,18 @@ def test_unpickling_an_empty_interval_is_refused():
         pickle.loads(pickle.dumps(empty))
 
 
+def test_unpickling_a_set_goes_through_from_parts():
+    w = OMEGA
+    # runs that touch at 3 and overlap on [4, w], which the constructor trusts
+    raw = OrdinalSet(((ZERO, Ordinal(3)), (Ordinal(3), Ordinal(5)), (Ordinal(4), w + ONE),
+                      (w * 2, None)))
+    assert raw.__reduce__() == (OrdinalSet.from_parts, (raw.intervals, raw.tail_from))
+    want = OrdinalSet.from_parts([(ZERO, w), (w * 2, w * 2)], w * 2)
+    assert want.runs == ((ZERO, w + ONE), (w * 2, None))
+    for b in (copy.copy(raw), pickle.loads(pickle.dumps(raw))):
+        assert b == want and b != raw
+
+
 # ---------------------------------------------------------------------------
 # the line-based file formats
 
@@ -210,3 +222,24 @@ def test_line_formats_name_the_line_and_the_expected_shape(parse, text, message)
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parse,text,error,message", [
+    (parse_homeo, "[0, 0] -> [0, 0]\n# c\n(0, w] -> (0, w^^2]\n", ParseError,
+     "line 3: expected 'w', a number, or '(' (position 4)"),
+    (parse_homeo, "\n(0, w] -> [0, w]\n(w, w] -> (w, w]\n", DomainError,
+     "line 3: empty interval (w, w]"),
+    (parse_injection, "1 -> 2\n3 -> w+\n", ParseError,
+     "line 2: expected 'w', a number, or '(' (position 4)"),
+    (parse_injection, "# note\n1 -> 2\nw*0 -> 4\n", DomainError,
+     "line 3: zero coefficient (position 3)"),
+    (parse_constraints, "1 : { 2 }\n\nw : { 3, w*0 }\n", DomainError,
+     "line 3: zero coefficient (position 4)"),
+    (parse_constraints, "1 : { 2 }\nw) : { 3 }\n", ParseError,
+     "line 2: trailing input (position 2)"),
+])
+def test_line_formats_name_the_line_of_a_bad_value(parse, text, error, message):
+    # the same class as the value's own error, so the CLI's exit code is unchanged
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error and str(err.value) == message
