@@ -24,7 +24,6 @@ from .errors import ContractError, DomainError
 from .homeo import (
     PwHomeo,
     _common_runs,
-    _preimage,
     _runs,
     apply,
     compose,
@@ -229,7 +228,7 @@ def baire_density_witness(g: PwHomeo, n: int,
     while Ordinal(k) in avoid:
         k += 1
     ko = Ordinal(k)
-    pre = _preimage(g, ko)
+    pre = apply(inverse(g), ko)
     if pre == ko:
         h = g
     else:

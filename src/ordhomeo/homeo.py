@@ -20,13 +20,15 @@ Fixed-point sets are computed exactly, as the walk's half-open runs
 (below), via the absorption law for the starts a, c of a piece:
 a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
-`compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons.
+`compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons,
+`inverse` of n pieces one sort, O(n log n), with no canonical pass.
 `apply`, `sup_image` and `restrict_to_initial` find a point's piece
 through one linear scan, `_locate`, that stops there.  Every fixed-point
 and invariant-set query reads one walk instead, `_common_runs`: each
 map's runs (`_runs`, the points of each piece that meet one closed-form
-condition) read lazily, in order, as half-open runs [lo, end) like
-every interval, and met with the other maps' runs.
+condition; those of `inverse(g)` where the query needs g^-1) read
+lazily, in order, as half-open runs [lo, end) like every interval, and
+met with the other maps' runs.
 """
 
 from __future__ import annotations
@@ -292,14 +294,6 @@ def apply(g: PwHomeo, x: Ordinal) -> Ordinal:
     return _image(g, _locate(g, x), x)
 
 
-def _preimage(g: PwHomeo, y: Ordinal) -> Ordinal:
-    """g^-1(y), by one scan over the targets."""
-    for p in g.pieces:
-        if p.target.contains(y):
-            return _piece_map(p.target, p.source, y)
-    return y
-
-
 def _extended_pieces(g: PwHomeo, end: Ordinal) -> list[Piece]:
     """g's pieces (g not the identity) padded to tile [0, end)."""
     last = g.pieces[-1].source.end
@@ -335,9 +329,11 @@ def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
 
 
 def inverse(g: PwHomeo) -> PwHomeo:
-    if g.is_identity:
-        return IDENTITY
-    return _canonical([Piece(p.target, p.source) for p in g.pieces])
+    """g's pieces with the sides swapped, in target order.  The merge,
+    cut and split rules of the canonical form treat the two sides the
+    same way, so the swap of a canonical map is canonical as it stands."""
+    return PwHomeo(tuple(Piece(p.target, p.source) for p in sorted(g.pieces, key=_by_target)),
+                   g.support)
 
 
 def order_of(g: PwHomeo) -> int:
@@ -500,22 +496,18 @@ def sup_image(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     return _pred(max([_image(g, i, alpha) + ONE] + [p.target.end for p in g.pieces[:i]]))
 
 
-def _runs(g: PwHomeo, inverted: bool = False, fixed: bool = False):
-    """The points a with h([0, a]) contained in [0, a], or with h(a) = a
-    if fixed, for h = g or its inverse, as increasing half-open runs
-    [lo, end), written (lo, end): at most one per piece, ending where its
-    source ends, then the unbounded (support + 1, None), (0, None) for
-    the identity.  For a in a piece [s, e) -> [c, f) of h, taken in
-    source order, h(a) = a exactly when c = s or a >= s + _fix_threshold,
-    and h(a) <= a exactly when c < s or h(a) = a; h([0, a]) lies in
-    [0, a] exactly when h(a) <= a and a is at or above the last point of
-    every earlier piece's target.  The inverse's pieces are g's with the
-    sides swapped, in target order: a tiling, if not a canonical one,
-    which is all the rule needs."""
-    pieces = sorted(g.pieces, key=_by_target) if inverted else g.pieces
+def _runs(g: PwHomeo, fixed: bool = False):
+    """The points a with g([0, a]) contained in [0, a], or with g(a) = a
+    if fixed, as increasing half-open runs [lo, end), written (lo, end):
+    at most one per piece, ending where its source ends, then the
+    unbounded (support + 1, None), (0, None) for the identity.  For a in
+    a piece [s, e) -> [c, f), g(a) = a exactly when c = s or
+    a >= s + _fix_threshold, and g(a) <= a exactly when c < s or
+    g(a) = a; g([0, a]) lies in [0, a] exactly when g(a) <= a and a is at
+    or above the last point of every earlier piece's target."""
     top = end = ZERO  # the highest earlier target end (0 if fixed), the last source end
-    for p in pieces:
-        src, tgt = (p.target, p.source) if inverted else (p.source, p.target)
+    for p in g.pieces:
+        src, tgt = p.source, p.target
         end = src.end
         if top <= end:  # else an earlier target ends above every point here
             lo = src.start
@@ -567,7 +559,7 @@ def invariant_prefix(g: PwHomeo, alpha: Ordinal) -> Ordinal:
 def invariant_point(g: PwHomeo, alpha: Ordinal) -> Ordinal:
     """Least alpha* >= alpha with g([0, alpha*]) = [0, alpha*]: the
     least point >= alpha in a run of g and in a run of its inverse."""
-    return next(_common_runs([_runs(g), _runs(g, inverted=True)], alpha))[0]
+    return next(_common_runs([_runs(g), _runs(inverse(g))], alpha))[0]
 
 
 def find_fixed_point_above(gs: Sequence[PwHomeo], alpha: Ordinal) -> Ordinal:
@@ -579,7 +571,7 @@ def find_fixed_point_above(gs: Sequence[PwHomeo], alpha: Ordinal) -> Ordinal:
     run of g^-1 and in a fixed run of g."""
     if not gs:
         raise DomainError("need at least one map")
-    streams = [s for g in gs for s in (_runs(g), _runs(g, inverted=True), _runs(g, fixed=True))]
+    streams = [s for g in gs for s in (_runs(g), _runs(inverse(g)), _runs(g, fixed=True))]
     for lo, end in _common_runs(streams, alpha + ONE):
         lam = _least_limit(lo)
         if end is None or lam < end:

@@ -4,9 +4,10 @@ The library checks values where they enter it (`build`, the parsers,
 unpickling through `ordinals._restore`) and trusts its own arithmetic,
 so no operation pays for a check.  Here, before `homeo` binds it,
 `ordinals._make` is replaced by a version that checks every key it
-wraps, and `homeo._canonical` by one that checks every map it returns,
-so a test that breaks either invariant fails where it happens.  The
-checks raise AssertionError explicitly, so they also run under -O.
+wraps, and `homeo._canonical` and `homeo.inverse` by ones that check
+every map they return, so a test that breaks either invariant fails
+where it happens.  The checks raise AssertionError explicitly, so they
+also run under -O.
 """
 
 import functools
@@ -43,14 +44,15 @@ ordinals._make = _checked_make
 from ordhomeo import homeo  # noqa: E402  (imported now, so it binds _checked_make)
 from helpers import check_canonical  # noqa: E402
 
-_canonical = homeo._canonical
+
+def _checked(fn):
+    @functools.wraps(fn)
+    def checked(arg):
+        g = fn(arg)
+        check_canonical(g)
+        return g
+    return checked
 
 
-@functools.wraps(_canonical)
-def _checked_canonical(pieces):
-    g = _canonical(pieces)
-    check_canonical(g)
-    return g
-
-
-homeo._canonical = _checked_canonical
+homeo._canonical = _checked(homeo._canonical)
+homeo.inverse = _checked(homeo.inverse)  # before dynamics binds it

@@ -153,7 +153,8 @@ def random_transitivity_problem(rng: random.Random, n_pairs=5, n_frozen=5,
 
 
 # ---------------------------------------------------------------------------
-# canonical form (tests/conftest.py runs this on every map _canonical returns)
+# canonical form (tests/conftest.py runs this on every map _canonical or
+# inverse returns)
 
 
 def check_canonical(g: PwHomeo) -> None:

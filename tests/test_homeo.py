@@ -41,7 +41,7 @@ from ordhomeo.homeo import (
 from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, classify,
                                diff_exponent, format_ordinal, left_subtract, omega_pow, rank)
 
-from helpers import GRID, check_canonical, check_set_runs, o, random_homeo
+from helpers import GRID, check_canonical, check_set_runs, o, random_homeo, random_move
 
 
 def swap_0w() -> PwHomeo:
@@ -1077,20 +1077,32 @@ class TestOneIntervalShape:
 
 
 # ---------------------------------------------------------------------------
-# preimages without the inverse map
+# the inverse as its pieces with the sides swapped, against the canonical
+# pass it replaced
 
 
-class TestInverseFreePreimages:
-    def test_preimages_match_the_inverse(self):
+def inverse_ref(g: PwHomeo) -> PwHomeo:
+    if g.is_identity:
+        return IDENTITY
+    return homeo._canonical([Piece(p.target, p.source) for p in g.pieces])
+
+
+class TestInverseIsTheSwap:
+    def test_swapped_pieces_match_the_canonical_pass(self):
         rng = random.Random(41)
-        cases = [(random_homeo(rng), GRID) for _ in range(100)]
-        for g in shape_maps():
-            points = lookup_points(inverse(g)) + lookup_points(g)
-            cases.append((g, rng.sample(points, min(len(points), 60))))
-        for g, points in cases:
+        maps = shape_maps()
+        for n in range(1, 9):
+            for _ in range(30):
+                g = identity()
+                for _ in range(n):
+                    g = compose(random_move(rng), g)
+                maps.append(g)
+        small = maps[:40] + maps[-240:]
+        maps += [compose(rng.choice(small), rng.choice(small)) for _ in range(300)]
+        for g in maps:
             ig = inverse(g)
-            for y in points:
-                assert homeo._preimage(g, y) == apply(ig, y)
+            assert ig == inverse_ref(g)
+            assert inverse(ig) == g
 
 
 # ---------------------------------------------------------------------------
