@@ -8,11 +8,14 @@ precondition error, 2 parse error, 3 resource cap, 4 internal error
 
 Each command is one row of `_COMMANDS`: its arguments, each with the
 loader that turns its text into a value, and a runner that computes the
-result from the loaded values.  The argparse tree is built from the
-table, the arguments are loaded in table order, and `_render` formats the
-result by its type.  Runners reach the library through the package's
-lazy exports, so a command loads only what it runs: `ord` never compiles
-`homeo`, `dynamics` or `sieve`.
+result from the loaded values.  Argv that fits the table exactly (an
+optional leading --unicode, a group, a command, then option-free words
+in the count its positionals take) is read by `_match`; only other argv,
+help, options and usage errors included, imports argparse, whose tree
+is built from the same table.  The arguments are loaded in table order,
+and `_render` formats the result by its type.  Runners reach the library
+through the package's lazy exports, so a command loads only what it
+runs: `ord` never compiles `homeo`, `dynamics` or `sieve`.
 
 Output is deterministic (no timestamps, stable ordering) and uses the
 same grammars the inputs do, so emitted ordinals, maps, and constraint
@@ -20,7 +23,6 @@ systems re-parse to themselves.  ASCII "w" denotes the first infinite
 ordinal everywhere; --unicode switches the display only.
 """
 
-import argparse
 import sys
 from functools import reduce
 from pathlib import Path
@@ -174,7 +176,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only argv that `_match` declines pays for it
+
     top = argparse.ArgumentParser(prog="ordhomeo")
     top.add_argument("--unicode", action="store_true",
                      help="display the first infinite ordinal as ω")
@@ -191,14 +195,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load(args, arguments) -> list:
+def _shape(args) -> tuple:
+    """(group, command, unicode, argument texts in table order) of an
+    argparse namespace: a text is a list for NAME+ and --NAME."""
+    arguments = _COMMANDS[args.group][1][args.command][0]
+    return (args.group, args.command, args.unicode,
+            [getattr(args, name.strip("-+")) for name, *_ in arguments])
+
+
+def _match(argv: list):
+    """`_shape` of argv that fits `_COMMANDS` exactly, without argparse:
+    an optional leading --unicode, a group and one of its commands, then
+    one word per positional, one or more for NAME+, and none that starts
+    with "-" (so no option).  Any other argv gives None."""
+    uni = argv[:1] == ["--unicode"]
+    if len(argv) < uni + 2 or any(word.startswith("-") for word in argv[uni:]):
+        return None
+    group, command, *words = argv[uni:]
+    try:
+        arguments = _COMMANDS[group][1][command][0]
+    except KeyError:
+        return None
+    positionals = [name for name, *_ in arguments if not name.startswith("--")]
+    spare = len(words) - len(positionals)  # extra words a NAME+ takes
+    if spare < 0 or spare and not any(name.endswith("+") for name in positionals):
+        return None
+    texts = []
+    for name, *_ in arguments:
+        if name.startswith("--"):
+            texts.append([])
+        elif name.endswith("+"):
+            texts.append(words[:spare + 1])
+            del words[:spare + 1]
+        else:
+            texts.append(words.pop(0))
+    return group, command, uni, texts
+
+
+def _load(texts: list, arguments) -> list:
     """Each argument's value through its loader, in table order; an
     argument that takes several values loads to a list."""
-    values = []
-    for name, loader, *_ in arguments:
-        text = getattr(args, name.strip("-+"))
-        values.append([loader(t) for t in text] if isinstance(text, list) else loader(text))
-    return values
+    return [[loader(t) for t in text] if isinstance(text, list) else loader(text)
+            for text, (_, loader, *_) in zip(texts, arguments)]
 
 
 # result type name -> the package's formatter for it (by name, so that
@@ -228,10 +266,11 @@ def _render(result, uni: bool) -> str:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = _build_parser().parse_args(argv)
-    arguments, runner = _COMMANDS[args.group][1][args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    group, command, uni, texts = _match(argv) or _shape(_build_parser().parse_args(argv))
+    arguments, runner = _COMMANDS[group][1][command]
     try:
-        out.write(_render(runner(*_load(args, arguments)), args.unicode))
+        out.write(_render(runner(*_load(texts, arguments)), uni))
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -8,7 +8,17 @@ catches it, and the CLI reports it in one line.
 
 
 class OrdhomeoError(Exception):
-    pass
+    """`position`, when known, is the 1-based column of the fault in the
+    text read; the message ends with it, so a caller that read the text
+    as part of a longer one can move it."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.position is None else f"{text} (position {self.position})"
 
 
 class DomainError(OrdhomeoError):
@@ -20,13 +30,7 @@ class ValidationError(DomainError):
 
 
 class ParseError(OrdhomeoError):
-    """Malformed input text.  `position` is a 1-based column index."""
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (position {position})"
-        super().__init__(message)
-        self.position = position
+    """Malformed input text."""
 
 
 class ResourceError(OrdhomeoError):

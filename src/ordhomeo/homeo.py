@@ -43,6 +43,7 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
+    _at,
     _make,
     _pred,
     _Record,
@@ -617,8 +618,9 @@ def parse_interval(text: str) -> ClopenInterval:
     if inner.count(",") != 1:
         raise ParseError(f"malformed interval {text!r}")
     left, right = inner.split(",")
-    lo = parse_ordinal(left)
-    hi = parse_ordinal(right)
+    at = len(text) - len(text.lstrip()) + 1  # the column of inner, less one
+    lo = _at(at, parse_ordinal, left)
+    hi = _at(at + len(left) + 1, parse_ordinal, right)
     if s[0] == "[":
         if not lo.is_zero:
             raise ParseError(f"closed interval must start at 0: {text!r}")
@@ -636,7 +638,7 @@ def format_homeo(g: PwHomeo, unicode: bool = False) -> str:
 
 def parse_homeo(text: str) -> PwHomeo:
     ends: dict = {}  # one object per endpoint value, which bounds up to four intervals
-    def piece(left: str, right: str) -> Piece:
-        return Piece(*(ClopenInterval(*(ends.setdefault(x, x) for x in (iv.start, iv.end)))
-                       for iv in (parse_interval(left), parse_interval(right))))
-    return build(_split_lines(text, "->", "'interval -> interval'", piece))
+    return build([Piece(*(ClopenInterval(*(ends.setdefault(x, x) for x in (iv.start, iv.end)))
+                          for iv in pair))
+                  for pair in _split_lines(text, "->", "'interval -> interval'",
+                                           parse_interval, parse_interval)])

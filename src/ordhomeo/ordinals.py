@@ -397,7 +397,7 @@ class _Parser:
             return int(self.text[start:self.pos])
         except ValueError:
             raise ResourceError(f"number longer than {sys.get_int_max_str_digits()}"
-                                f" digits (position {start + 1})") from None
+                                " digits", start + 1) from None
 
     def expr(self) -> Ordinal:
         value = self.term()
@@ -413,7 +413,7 @@ class _Parser:
             at = self.pos
             n = self.nat()
             if n == 0:
-                raise DomainError(f"zero coefficient (position {at + 1})")
+                raise DomainError("zero coefficient", at + 1)
             value = value * n
         return value
 
@@ -483,20 +483,36 @@ def format_ordinal(x: Ordinal, unicode: bool = False) -> str:
                             " digits") from None
 
 
-def _split_lines(text: str, sep: str, shape: str, parse) -> list:
-    """parse(left, right) per record line of a line-based file format,
-    split at the first sep (else "expected <shape>"), skipping blank and
-    "#" lines; a ParseError or DomainError names its line: "line N: ..."."""
-    records = []
+def _at(start: int, parse, text: str):
+    """parse(text) for a text that starts at column start + 1 of the line
+    it was cut from: a ParseError or DomainError counts its position in
+    that line."""
+    try:
+        return parse(text)
+    except (ParseError, DomainError) as err:
+        if err.position is not None:
+            err.position += start
+        raise
+
+
+def _split_lines(text: str, sep: str, shape: str, parse_left, parse_right):
+    """(parse_left(left), parse_right(right)) per record line of a
+    line-based file format, yielded in order, split at the first sep
+    (else "expected <shape>"), skipping blank and "#" lines.  A
+    ParseError or DomainError names its line, "line N: ...", and its
+    position is the column in the line as written, leading whitespace
+    included."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         left, found, right = line.partition(sep)
+        lead = len(raw) - len(raw.lstrip())
         try:
             if not found:
                 raise ParseError(f"expected {shape}")
-            records.append(parse(left, right))
+            record = (_at(lead, parse_left, left),
+                      _at(lead + len(left) + len(sep), parse_right, right))
         except (ParseError, DomainError) as err:
-            raise type(err)(f"line {lineno}: {err}") from None
-    return records
+            raise type(err)(f"line {lineno}: {err.args[0]}", err.position) from None
+        yield record

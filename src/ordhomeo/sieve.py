@@ -17,7 +17,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, DomainError, ParseError, ResourceError
-from .ordinals import Ordinal, _Record, _set, _split_lines, format_ordinal, parse_ordinal
+from .ordinals import Ordinal, _at, _Record, _set, _split_lines, format_ordinal, parse_ordinal
 
 _HALL_BRUTE_LIMIT = 20
 
@@ -240,15 +240,24 @@ def format_constraints(cs: ConstraintSystem, unicode: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _value_set(text: str) -> list:
+    body = text.strip()
+    if not body.startswith("{") or not body.endswith("}"):
+        raise ParseError("expected a braced value set")
+    inner = body[1:-1]
+    if not inner.strip():
+        return []
+    at = len(text) - len(text.lstrip()) + 1  # the column of inner, less one
+    vals = []
+    for part in inner.split(","):
+        vals.append(_at(at, parse_ordinal, part))
+        at += len(part) + 1
+    return vals
+
+
 def parse_constraints(text: str) -> ConstraintSystem:
-    def constraint(left: str, right: str):
-        right = right.strip()
-        if not right.startswith("{") or not right.endswith("}"):
-            raise ParseError("expected a braced value set")
-        body = right[1:-1].strip()
-        vals = [parse_ordinal(part) for part in body.split(",")] if body else []
-        return parse_ordinal(left), vals
-    return ConstraintSystem.of(_split_lines(text, ":", "'point : { values }'", constraint))
+    return ConstraintSystem.of(_split_lines(text, ":", "'point : { values }'",
+                                            parse_ordinal, _value_set))
 
 
 def format_injection(h: PartialInjection, unicode: bool = False) -> str:
@@ -260,8 +269,7 @@ def format_injection(h: PartialInjection, unicode: bool = False) -> str:
 
 
 def parse_injection(text: str) -> PartialInjection:
-    pairs = _split_lines(text, "->", "'from -> to'",
-                         lambda left, right: (parse_ordinal(left), parse_ordinal(right)))
+    pairs = _split_lines(text, "->", "'from -> to'", parse_ordinal, parse_ordinal)
     h = PartialInjection(tuple(pairs))
     h.validate()
     return h

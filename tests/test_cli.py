@@ -1,4 +1,6 @@
+import contextlib
 import io
+import itertools
 import random
 import shlex
 import sys
@@ -66,6 +68,53 @@ def test_golden(label, command, exit_code, expected, monkeypatch, capsys):
 
 def test_corpus_is_large_enough():
     assert len(CASES) >= 25
+
+
+# ---------------------------------------------------------------------------
+# the argv matcher, checked against the argparse tree built from the same table
+
+
+POOL = ["1", "w", "-1", "--frozen", "-h", "x=y", ""]
+
+
+def _generated_argv():
+    """Every command with 0-3 words from POOL, with and without --unicode."""
+    for group, (_, commands) in cli._COMMANDS.items():
+        for command in commands:
+            for k in range(4):
+                for words in itertools.product(POOL, repeat=k):
+                    yield [group, command, *words]
+                    yield ["--unicode", group, command, *words]
+
+
+SURFACE_ARGV = [shlex.split(line[2:]) for line in
+                (GOLDEN / "surface.txt").read_text().splitlines() if line.startswith("$ ")]
+
+
+def _by_argparse(parser, argv):
+    """cli._shape of what argparse reads from argv, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._shape(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("argvs,accepted", [
+    ([case[1] for case in CASES], 59),
+    (SURFACE_ARGV, 0),
+    # the 4 option-free pool words, in every fitting count: 680 argv, twice
+    (list(_generated_argv()), 1360),
+], ids=["golden", "surface", "generated"])
+def test_the_matcher_reads_argv_as_argparse_does(argvs, accepted):
+    parser = cli._build_parser()
+    matched = 0
+    for argv in argvs:
+        shape = cli._match(argv)
+        if shape is not None:
+            assert _by_argparse(parser, argv) == shape, argv
+            matched += 1
+    assert matched == accepted
 
 
 def test_round_trip_random_ordinals():

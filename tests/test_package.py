@@ -69,9 +69,9 @@ def test_exports_are_the_submodules_objects():
 BASE = {"ordhomeo", "ordhomeo.cli", "ordhomeo.errors"}
 
 
-def _loaded_by(code: str) -> tuple[set[str], bool]:
+def _loaded_by(code: str) -> tuple[set[str], set[str]]:
     """The ordhomeo modules loaded after running code in a fresh
-    interpreter, and whether `dataclasses` was."""
+    interpreter, and which of `argparse` and `dataclasses` were."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     script = f"import sys\n{code}\nprint(*sorted(sys.modules))"
@@ -79,11 +79,17 @@ def _loaded_by(code: str) -> tuple[set[str], bool]:
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.splitlines()[-1].split())
-    return {m for m in modules if m.startswith("ordhomeo")}, "dataclasses" in modules
+    return {m for m in modules if m.startswith("ordhomeo")}, {"argparse", "dataclasses"} & modules
 
 
 def _after_main(argv: list[str]) -> str:
-    return f"import io\nfrom ordhomeo.cli import main\nassert main({argv!r}, io.StringIO()) == 0"
+    """Code that runs main(argv) and checks it exits 0, as `-h` does
+    through SystemExit."""
+    return ("import contextlib, io\nfrom ordhomeo.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    try:\n        code = main({argv!r}, io.StringIO())\n"
+            "    except SystemExit as exit:\n        code = exit.code\n"
+            "assert code == 0, code")
 
 
 @pytest.mark.parametrize("code,loaded", [
@@ -98,13 +104,24 @@ def _after_main(argv: list[str]) -> str:
                  id="submodule-attribute"),
 ])
 def test_a_command_loads_only_its_group(code, loaded):
-    assert _loaded_by(code) == (loaded, False)
+    assert _loaded_by(code) == (loaded, set())
 
 
 def test_dyn_loads_only_its_group():
     loaded = BASE | {"ordhomeo.ordinals", "ordhomeo.homeo", "ordhomeo.dynamics"}
     # RoelckeCertificate is still a dataclass, so dyn loads dataclasses
-    assert _loaded_by(_after_main(["dyn", "transitive", "3 -> 5"])) == (loaded, True)
+    assert _loaded_by(_after_main(["dyn", "transitive", "3 -> 5"])) == (loaded, {"dataclasses"})
+
+
+@pytest.mark.parametrize("argv", [["ord", "eval", "w+1"], ["homeo", "fix", "swap.hom"],
+                                  ["dyn", "baire-member", "swap.hom", "1"],
+                                  ["sieve", "match", "pigeon.cs"]], ids=lambda argv: argv[0])
+def test_a_fitting_command_never_imports_argparse(argv):
+    assert "argparse" not in _loaded_by(_after_main(argv))[1]
+
+
+def test_help_imports_argparse():
+    assert "argparse" in _loaded_by(_after_main(["ord", "eval", "-h"]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +243,15 @@ def test_line_formats_name_the_line_and_the_expected_shape(parse, text, message)
 
 @pytest.mark.parametrize("parse,text,error,message", [
     (parse_homeo, "[0, 0] -> [0, 0]\n# c\n(0, w] -> (0, w^^2]\n", ParseError,
-     "line 3: expected 'w', a number, or '(' (position 4)"),
+     "line 3: expected 'w', a number, or '(' (position 17)"),
     (parse_homeo, "\n(0, w] -> [0, w]\n(w, w] -> (w, w]\n", DomainError,
      "line 3: empty interval (w, w]"),
     (parse_injection, "1 -> 2\n3 -> w+\n", ParseError,
-     "line 2: expected 'w', a number, or '(' (position 4)"),
+     "line 2: expected 'w', a number, or '(' (position 8)"),
     (parse_injection, "# note\n1 -> 2\nw*0 -> 4\n", DomainError,
      "line 3: zero coefficient (position 3)"),
     (parse_constraints, "1 : { 2 }\n\nw : { 3, w*0 }\n", DomainError,
-     "line 3: zero coefficient (position 4)"),
+     "line 3: zero coefficient (position 12)"),
     (parse_constraints, "1 : { 2 }\nw) : { 3 }\n", ParseError,
      "line 2: trailing input (position 2)"),
 ])
@@ -243,3 +260,21 @@ def test_line_formats_name_the_line_of_a_bad_value(parse, text, error, message):
     with pytest.raises(error) as err:
         parse(text)
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("parse,text,column", [
+    (parse_homeo, "[0, 0] -> [0, 0]\n# c\n(0, w] -> (0, w^^2]\n", 17),
+    (parse_homeo, "[0, 0] -> [0, 0]\n\t  (0, w]  ->  ( 0 , w^^2]\n", 24),
+    (parse_homeo, "  ( w^ , w*2] -> (w, w*2]\n", 8),
+    (parse_injection, " 1 -> 2\n   3 ->w+\n", 10),
+    (parse_constraints, "  w :{ 3 ,, 4 }\n", 11),
+    (parse_constraints, "  w*0 : { 3 }\n", 5),
+    (parse_constraints, "1 : {2, 3,w*0}\n", 13),
+])
+def test_a_bad_value_reports_its_column_in_the_line(parse, text, column):
+    # the column in the line as written, leading whitespace included (a tab is
+    # one column), of the character the value parser stopped at
+    with pytest.raises((ParseError, DomainError)) as err:
+        parse(text)
+    assert err.value.position == column
+    assert str(err.value).endswith(f"(position {column})")
