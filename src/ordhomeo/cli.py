@@ -39,9 +39,14 @@ _DEMO_CAP = 10_000  # most terms `dyn demo-discontinuity` prints
 
 def _read(path: str) -> str:
     p = Path(path)
-    if not p.is_file():
-        raise DomainError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        if not p.is_file():
+            raise DomainError(f"no such file: {path}")
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+    except OSError as err:
+        raise DomainError(f"cannot read {path}: {err.strerror or err}") from None
 
 
 def _ordinal(text: str):
@@ -76,7 +81,7 @@ def _pair(text: str):
     if "->" not in text:
         raise ParseError(f"expected 'x -> y', got {text!r}")
     left, _, right = text.partition("->")
-    return O.parse_ordinal(left), O.parse_ordinal(right)
+    return O.parse_ordinal(left), O.ordinals._at(len(left) + 2, O.parse_ordinal, right)
 
 
 # runners whose compute step is more than one library call
@@ -106,7 +111,7 @@ def _demo(count: int):
             for n in range(1, count + 1)]
 
 
-def _match(cs):
+def _sieve_match(cs):
     witness = O.satisfiable(cs)
     return "unsatisfiable" if witness is None else witness
 
@@ -168,7 +173,7 @@ _COMMANDS = {
     "sieve": ("constraint systems", {
         "normalize": ([("file", _constraints)], lambda cs: O.normalize(cs)),
         "hall": ([("file", _constraints)], lambda cs: O.hall_brute(cs)),
-        "match": ([("file", _constraints)], _match),
+        "match": ([("file", _constraints)], _sieve_match),
         "contains": ([("left", _constraints), ("right", _constraints)], _contains),
         "chain": ([("file+", _constraints)], _chain),
         "extend": ([("file", _injection)], lambda h: O.extend_to_permutation(h)),

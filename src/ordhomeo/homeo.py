@@ -1,11 +1,12 @@
 """Finitely-piecewise homeomorphisms of ordinal segments.
 
-A map is stored as finitely many pieces, each the unique order
-isomorphism between two clopen intervals, with the source intervals
-tiling an initial segment [0, support] and the target intervals tiling
-the same segment; beyond the support the map is the identity.  This
-class of maps is closed under composition and inverse, every member is
-a homeomorphism (pieces are clopen), and membership is decidable.
+A map is its pieces: finitely many, each the unique order isomorphism
+between two clopen intervals, with the source intervals tiling an
+initial segment [0, support] and the target intervals tiling the same
+segment; the support is read off the last source, and beyond it the map
+is the identity.  This class of maps is closed under composition and
+inverse, every member is a homeomorphism (pieces are clopen), and
+membership is decidable.
 
 Every interval is stored half-open, as [start, end): [0, hi] is
 [0, hi + 1) and ]lo, hi] is [lo + 1, hi + 1), the two forms the text
@@ -157,19 +158,23 @@ def _format_piece(p: Piece, unicode: bool = False) -> str:
 
 
 class PwHomeo(_Record):
-    """Canonical form: pieces sorted by source, no mergeable neighbours,
-    no trailing identity piece.  Build one with `build` (or the factory
-    helpers); the constructor trusts its input, while `canonicalize` and
-    unpickling go through `build`."""
+    """A map is its pieces, in canonical form: sorted by source, no
+    mergeable neighbours, no trailing identity piece.  Build one with
+    `build` (or the factory helpers); `PwHomeo(pieces)` trusts its
+    input, while `canonicalize` and unpickling go through `build`."""
 
-    __slots__ = ("pieces", "support")
+    __slots__ = ("pieces",)
 
-    def __init__(self, pieces: tuple[Piece, ...], support: Ordinal):
+    def __init__(self, pieces: tuple[Piece, ...]):
         _set(self, "pieces", pieces)
-        _set(self, "support", support)
 
     def __reduce__(self):
         return build, (self.pieces,)
+
+    @property
+    def support(self) -> Ordinal:
+        """The last point of the last source; 0 for the identity."""
+        return _pred(self.pieces[-1].source.end) if self.pieces else ZERO
 
     @property
     def is_identity(self) -> bool:
@@ -179,7 +184,7 @@ class PwHomeo(_Record):
         return apply(self, x)
 
 
-IDENTITY = PwHomeo((), ZERO)
+IDENTITY = PwHomeo(())
 
 
 def identity() -> PwHomeo:
@@ -264,8 +269,7 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
                     Piece(ClopenInterval(a1, p.source.end), ClopenInterval(c1, p.target.end))]
         else:
             out.append(p)
-    support = _pred(out[-1].source.end) if out else ZERO
-    return PwHomeo(tuple(out), support)
+    return PwHomeo(tuple(out))
 
 
 def canonicalize(g: PwHomeo) -> PwHomeo:
@@ -305,7 +309,8 @@ def _extended_pieces(g: PwHomeo, end: Ordinal) -> list[Piece]:
 
 
 def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
-    """The map x -> g(h(x)), by one sweep over h's targets and g's sources."""
+    """The map x -> g(h(x)), by one sweep over h's targets and g's
+    sources, which both tile [0, end): the front pieces always overlap."""
     if g.is_identity:
         return h
     if h.is_identity:
@@ -317,11 +322,10 @@ def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
     i = j = 0
     while i < len(hp) and j < len(gp):
         p, q = hp[i], gp[j]
-        overlap = interval_intersect(p.target, q.source)
-        if overlap is not None:
-            src = _map_sub(p.target, p.source, overlap)
-            tgt = _map_sub(q.source, q.target, overlap)
-            out.append(Piece(src, tgt))
+        overlap = ClopenInterval(max(p.target.start, q.source.start),
+                                 min(p.target.end, q.source.end))
+        out.append(Piece(_map_sub(p.target, p.source, overlap),
+                         _map_sub(q.source, q.target, overlap)))
         if p.target.end <= q.source.end:
             i += 1
         if q.source.end <= p.target.end:
@@ -333,8 +337,7 @@ def inverse(g: PwHomeo) -> PwHomeo:
     """g's pieces with the sides swapped, in target order.  The merge,
     cut and split rules of the canonical form treat the two sides the
     same way, so the swap of a canonical map is canonical as it stands."""
-    return PwHomeo(tuple(Piece(p.target, p.source) for p in sorted(g.pieces, key=_by_target)),
-                   g.support)
+    return PwHomeo(tuple(Piece(p.target, p.source) for p in sorted(g.pieces, key=_by_target)))
 
 
 def order_of(g: PwHomeo) -> int:

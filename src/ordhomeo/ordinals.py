@@ -485,11 +485,11 @@ def format_ordinal(x: Ordinal, unicode: bool = False) -> str:
 
 def _at(start: int, parse, text: str):
     """parse(text) for a text that starts at column start + 1 of the line
-    it was cut from: a ParseError or DomainError counts its position in
-    that line."""
+    it was cut from: a ParseError, DomainError or ResourceError counts its
+    position in that line."""
     try:
         return parse(text)
-    except (ParseError, DomainError) as err:
+    except (ParseError, DomainError, ResourceError) as err:
         if err.position is not None:
             err.position += start
         raise
@@ -499,9 +499,9 @@ def _split_lines(text: str, sep: str, shape: str, parse_left, parse_right):
     """(parse_left(left), parse_right(right)) per record line of a
     line-based file format, yielded in order, split at the first sep
     (else "expected <shape>"), skipping blank and "#" lines.  A
-    ParseError or DomainError names its line, "line N: ...", and its
-    position is the column in the line as written, leading whitespace
-    included."""
+    ParseError, DomainError or ResourceError names its line, "line N:
+    ...", and its position is the column in the line as written, leading
+    whitespace included."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -513,6 +513,6 @@ def _split_lines(text: str, sep: str, shape: str, parse_left, parse_right):
                 raise ParseError(f"expected {shape}")
             record = (_at(lead, parse_left, left),
                       _at(lead + len(left) + len(sep), parse_right, right))
-        except (ParseError, DomainError) as err:
+        except (ParseError, DomainError, ResourceError) as err:
             raise type(err)(f"line {lineno}: {err.args[0]}", err.position) from None
         yield record

@@ -160,7 +160,7 @@ def random_transitivity_problem(rng: random.Random, n_pairs=5, n_frozen=5,
 def check_canonical(g: PwHomeo) -> None:
     """Raise AssertionError, also under -O, unless g is in the canonical
     form: every interval nonempty and clopen ([0, hi] or ]lo, hi]); the
-    sources in order, and the targets, each tiling [0, support]; both
+    sources in order, and the targets, each tiling the same [0, support]; both
     sides of a piece of one order type; no target-contiguous neighbours
     but the first point split off an infinite piece that starts at 0 on
     one side only, which is always split off; no trailing identity piece,
@@ -170,9 +170,8 @@ def check_canonical(g: PwHomeo) -> None:
 
     ps = g.pieces
     if not ps:
-        if g.support != ZERO:
-            fail(f"the identity has support {g.support}")
         return
+    ends = []
     for side, ivs in (("source", [p.source for p in ps]),
                       ("target", sorted((p.target for p in ps), key=attrgetter("start")))):
         end = ZERO
@@ -184,8 +183,9 @@ def check_canonical(g: PwHomeo) -> None:
             if classify(iv.end).kind != "successor":
                 fail(f"{side} end {iv.end} is not a successor")
             end = iv.end
-        if end != g.support + ONE:
-            fail(f"{side}s end at {end}, not past the support")
+        ends.append(end)
+    if ends[1] != ends[0]:
+        fail(f"targets end at {ends[1]}, not where the sources end, {ends[0]}")
     for p in ps:
         if order_type(p.source) != order_type(p.target):
             fail(f"order types {order_type(p.source)} vs {order_type(p.target)}")

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import itertools
+import os
 import random
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -18,6 +20,7 @@ from ordhomeo.ordinals import format_ordinal, parse_ordinal
 
 from helpers import random_ordinal
 
+SRC = Path(ordhomeo.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 DATA = GOLDEN / "data"
 
@@ -155,6 +158,46 @@ def test_missing_file(monkeypatch, capsys):
     monkeypatch.chdir(DATA)
     code, out = run_cli(["homeo", "check", "nope.hom"])
     assert code == 1 and out == ""
+
+
+NOT_UTF8 = b"[0, 0] -> [0, 0]\n\xff\xfe\n"
+
+
+def test_an_undecodable_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.hom"
+    path.write_bytes(NOT_UTF8)
+    assert run_cli(["homeo", "check", str(path)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"parse error: {path} is not UTF-8 text: invalid start byte at byte 17\n"
+
+
+def test_an_undecodable_file_prints_no_traceback(tmp_path):
+    path = tmp_path / "latin1.hom"
+    path.write_bytes(NOT_UTF8)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ordhomeo.cli", "homeo", "check", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_an_unreadable_file_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "locked.hom"
+    path.write_text("[0, 0] -> [0, 0]\n")
+
+    def refused(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refused)
+    assert run_cli(["homeo", "check", str(path)]) == (1, "")
+    assert capsys.readouterr().err == f"error: cannot read {path}: Permission denied\n"
+
+
+def test_a_bad_pair_reports_its_column_in_the_argument(capsys):
+    # the second "^" of "3 -> w^^" is column 8 of the argument
+    assert run_cli(["dyn", "transitive", "3 -> w^^"]) == (2, "")
+    assert capsys.readouterr().err == "parse error: expected 'w', a number, or '(' (position 8)\n"
 
 
 def test_resource_error_exit_code():

@@ -277,19 +277,18 @@ class TestCanonicalize:
 
     def test_canonicalize_validates_a_hand_built_map(self):
         # the constructor trusts its input; canonicalize runs build's checks
-        bad = PwHomeo((Piece(initial(OMEGA), initial(OMEGA + ONE)),), OMEGA + ONE)
+        bad = PwHomeo((Piece(initial(OMEGA), initial(OMEGA + ONE)),))
         with pytest.raises(ValidationError, match="order type mismatch"):
             canonicalize(bad)
         loose = PwHomeo((Piece(initial(Ordinal(4)), initial(Ordinal(4))),
-                         Piece(span(Ordinal(4), OMEGA), span(Ordinal(4), OMEGA))), OMEGA)
+                         Piece(span(Ordinal(4), OMEGA), span(Ordinal(4), OMEGA))))
         assert canonicalize(loose) == IDENTITY
-        assert canonicalize(PwHomeo(tuple(reversed(swap_0w().pieces)), OMEGA * 2)) == swap_0w()
+        assert canonicalize(PwHomeo(tuple(reversed(swap_0w().pieces)))) == swap_0w()
 
 
 def hand_built(*pieces) -> PwHomeo:
-    """A PwHomeo taken as given, its support read off the last source."""
-    ps = tuple(Piece(*p) for p in pieces)
-    return PwHomeo(ps, ps[-1].source.hi)
+    """A PwHomeo of these (source, target) pairs, taken as given."""
+    return PwHomeo(tuple(Piece(*p) for p in pieces))
 
 
 class TestCanonicalCheck:
@@ -297,7 +296,7 @@ class TestCanonicalCheck:
     _canonical returns, rejects each way a map can fail the form."""
 
     @pytest.mark.parametrize("g, message", [
-        (PwHomeo((), ONE), "the identity has support 1"),
+        (hand_built((ClopenInterval(ONE, ONE),) * 2), "empty source [1, 1)"),
         (hand_built((ClopenInterval(ZERO, OMEGA),) * 2), "source end w is not a successor"),
         (hand_built((span(ZERO, o("1")), initial(ZERO)), (initial(ZERO), span(ZERO, o("1")))),
          "sources do not tile in order"),
@@ -311,7 +310,9 @@ class TestCanonicalCheck:
         (hand_built(*((p.source, p.target) for p in swap_0w().pieces),
                     (span(o("w*2"), o("w*3")), span(o("w*2"), o("w*3")))),
          "trailing identity piece"),
-        (PwHomeo(swap_0w().pieces, o("w*3")), "sources end at w*2 + 1, not past the support"),
+        # 1 + (w + 1) in source order, (w + 1) + 1 in target order
+        (hand_built((initial(ZERO), span(OMEGA, OMEGA + 1)), (span(ZERO, OMEGA), initial(OMEGA))),
+         "targets end at w + 2, not where the sources end, w + 1"),
         (hand_built((initial(ZERO), span(OMEGA, OMEGA + 1)), (span(ZERO, ONE), initial(ZERO)),
                     (span(ONE, OMEGA), span(ZERO, OMEGA)),
                     (span(OMEGA, o("w*2 + 1")), span(OMEGA + 1, o("w*2 + 1")))),
@@ -814,19 +815,19 @@ class TestLinearPieceAlgebra:
 
     def test_compose_intersects_linearly(self, monkeypatch):
         g, h = next(large_map_pairs(random.Random(33)))
-        calls = 0
-        counted = homeo.interval_intersect
+        handed = []
+        canonical = homeo._canonical
 
-        def counting(a, b):
-            nonlocal calls
-            calls += 1
-            return counted(a, b)
+        def counting(pieces):
+            handed.append(len(pieces))
+            return canonical(pieces)
 
-        monkeypatch.setattr(homeo, "interval_intersect", counting)
+        monkeypatch.setattr(homeo, "_canonical", counting)
         compose(g, h)
         # the padded piece lists hold at most len + len + 1 pieces, and
-        # every step of the sweep moves past at least one of them
-        assert 0 < calls <= len(g.pieces) + len(h.pieces)
+        # every step of the sweep emits one piece and moves past at least
+        # one of them, the last step past both
+        assert len(handed) == 1 and 0 < handed[0] <= len(g.pieces) + len(h.pieces)
 
     def test_intersect_matches_reference(self):
         # common_fixed_points walks every map's fixed runs at once; the
@@ -1024,7 +1025,7 @@ def canonical_ref(pieces) -> PwHomeo:
     while out and out[-1].source == out[-1].target:
         out.pop()
     assert all(compatible_ref(p.source, p.target) for p in out)
-    return PwHomeo(tuple(out), out[-1].source.hi if out else ZERO)
+    return PwHomeo(tuple(out))
 
 
 def fix_threshold_ref(src: homeo.ClopenInterval, tgt: homeo.ClopenInterval) -> Ordinal:

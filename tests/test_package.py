@@ -1,6 +1,7 @@
 """The package surface: lazy exports, what each CLI group loads, and the
 immutable value records."""
 
+import ast
 import copy
 import os
 import pickle
@@ -13,7 +14,7 @@ import pytest
 
 import ordhomeo
 from ordhomeo.dynamics import TransitivityProblem
-from ordhomeo.errors import DomainError, ParseError, ValidationError
+from ordhomeo.errors import DomainError, ParseError, ResourceError, ValidationError
 from ordhomeo.homeo import (ClopenInterval, OrdinalSet, Piece, PwHomeo, initial, parse_homeo,
                            span)
 from ordhomeo.ordinals import OMEGA, ONE, ZERO, Ordinal, PointClass, _set, parse_ordinal
@@ -143,10 +144,10 @@ def _records():
         (lambda: Piece(span(o("w"), o("w*2")), initial(ONE)),
          "Piece(source=ClopenInterval(start=w + 1, end=w*2 + 1), "
          "target=ClopenInterval(start=0, end=2))"),
-        (lambda: PwHomeo(pieces(), ONE),
+        (lambda: PwHomeo(pieces()),
          "PwHomeo(pieces=(Piece(source=ClopenInterval(start=0, end=1), "
          "target=ClopenInterval(start=1, end=2)), Piece(source=ClopenInterval(start=1, end=2), "
-         "target=ClopenInterval(start=0, end=1))), support=1)"),
+         "target=ClopenInterval(start=0, end=1))))"),
         (lambda: OrdinalSet.from_parts([(ZERO, ZERO)], o("w*2")),
          "OrdinalSet(runs=((0, 1), (w*2 + 1, None)))"),
         (lambda: ConstraintSystem(((ONE, frozenset([OMEGA])),)),
@@ -198,11 +199,11 @@ def test_record_copies_and_pickles(make, text):
 
 def test_unpickling_a_map_goes_through_build():
     w = OMEGA
-    broken = PwHomeo((Piece(initial(w), initial(w + ONE)),), w + ONE)  # order types differ
+    broken = PwHomeo((Piece(initial(w), initial(w + ONE)),))  # order types differ
     with pytest.raises(ValidationError):
         pickle.loads(pickle.dumps(broken))
-    not_canonical = PwHomeo((Piece(initial(ZERO), initial(ZERO)),), ZERO)  # an identity piece
-    assert pickle.loads(pickle.dumps(not_canonical)) == PwHomeo((), ZERO)
+    not_canonical = PwHomeo((Piece(initial(ZERO), initial(ZERO)),))  # an identity piece
+    assert pickle.loads(pickle.dumps(not_canonical)) == PwHomeo(())
 
 
 def test_unpickling_an_empty_interval_is_refused():
@@ -226,6 +227,10 @@ def test_unpickling_a_set_goes_through_from_parts():
 
 # ---------------------------------------------------------------------------
 # the line-based file formats
+
+
+DIGITS = sys.get_int_max_str_digits()  # the most digits int() reads from a str
+LONG_VALUE = "1 -> 2\n  3 -> " + "9" * (DIGITS + 1)  # its number starts at column 8 of line 2
 
 
 @pytest.mark.parametrize("parse,text,message", [
@@ -254,6 +259,8 @@ def test_line_formats_name_the_line_and_the_expected_shape(parse, text, message)
      "line 3: zero coefficient (position 12)"),
     (parse_constraints, "1 : { 2 }\nw) : { 3 }\n", ParseError,
      "line 2: trailing input (position 2)"),
+    pytest.param(parse_injection, LONG_VALUE, ResourceError,
+                 f"line 2: number longer than {DIGITS} digits (position 8)", id="long-value"),
 ])
 def test_line_formats_name_the_line_of_a_bad_value(parse, text, error, message):
     # the same class as the value's own error, so the CLI's exit code is unchanged
@@ -270,11 +277,32 @@ def test_line_formats_name_the_line_of_a_bad_value(parse, text, error, message):
     (parse_constraints, "  w :{ 3 ,, 4 }\n", 11),
     (parse_constraints, "  w*0 : { 3 }\n", 5),
     (parse_constraints, "1 : {2, 3,w*0}\n", 13),
+    pytest.param(parse_injection, LONG_VALUE, 8, id="long-value"),
 ])
 def test_a_bad_value_reports_its_column_in_the_line(parse, text, column):
     # the column in the line as written, leading whitespace included (a tab is
     # one column), of the character the value parser stopped at
-    with pytest.raises((ParseError, DomainError)) as err:
+    with pytest.raises((ParseError, DomainError, ResourceError)) as err:
         parse(text)
     assert err.value.position == column
     assert str(err.value).endswith(f"(position {column})")
+
+
+def test_no_module_binds_a_top_level_name_twice():
+    # a second def or assignment silently replaces the first, and whatever
+    # read the name in between keeps the old one
+    for path in sorted((SRC / "ordhomeo").glob("*.py")):
+        seen = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            twice = seen.intersection(names)
+            assert not twice, f"{path.name} binds {sorted(twice)} again at line {node.lineno}"
+            seen.update(names)
