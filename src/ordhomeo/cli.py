@@ -20,7 +20,8 @@ runs: `ord` never compiles `homeo`, `dynamics` or `sieve`.
 Output is deterministic (no timestamps, stable ordering) and uses the
 same grammars the inputs do, so emitted ordinals, maps, and constraint
 systems re-parse to themselves.  ASCII "w" denotes the first infinite
-ordinal everywhere; --unicode switches the display only.
+ordinal everywhere; the library prints only that, and --unicode (here,
+in `_render` alone) switches the display to ω.
 """
 
 import sys
@@ -255,7 +256,9 @@ _FORMATTERS = {"Ordinal": "format_ordinal", "OrdinalSet": "format_ordinal_set",
 def _render(result, uni: bool) -> str:
     """The printed text of a runner's result, chosen by its type: a value
     through its formatter, a bool as true/false, str and int as they are,
-    a list part after part, and a tuple as one line of its parts."""
+    a list part after part, and a tuple as one line of its parts.  Each
+    "w" a library formatter prints ("#" lines too) is an ordinal's, so uni
+    turns it into "ω"; a runner's own strings ("# witness") stay ASCII."""
     if isinstance(result, list):
         return "".join(_render(part, uni) for part in result)
     if isinstance(result, tuple):
@@ -263,7 +266,8 @@ def _render(result, uni: bool) -> str:
     if isinstance(result, bool):
         text = "true" if result else "false"
     elif type(result).__name__ in _FORMATTERS:
-        text = getattr(O, _FORMATTERS[type(result).__name__])(result, uni)
+        text = getattr(O, _FORMATTERS[type(result).__name__])(result)
+        text = text.replace("w", "ω") if uni else text
     else:
         text = str(result)
     return text if text.endswith("\n") else text + "\n"

@@ -149,8 +149,8 @@ def _map_sub(src: ClopenInterval, tgt: ClopenInterval,
     return ClopenInterval(_piece_map(src, tgt, sub.start), _piece_map(src, tgt, sub.end))
 
 
-def _format_piece(p: Piece, unicode: bool = False) -> str:
-    return f"{format_interval(p.source, unicode)} -> {format_interval(p.target, unicode)}"
+def _format_piece(p: Piece) -> str:
+    return f"{format_interval(p.source)} -> {format_interval(p.target)}"
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +206,6 @@ def _check_tiling(pieces: Sequence[Piece], side: str) -> Ordinal:
     end = first.end
     for p in pieces[1:]:
         iv = getattr(p, side)
-        if iv.start.is_zero:
-            raise ValidationError(f"duplicate initial {side} in piece: {_format_piece(p)}")
         if iv.start != end:
             kind = "overlapping" if iv.start < end else "gap before"
             raise ValidationError(f"{kind} {side} interval in piece: {_format_piece(p)}"
@@ -455,17 +453,17 @@ def _joined(runs) -> tuple[tuple[Ordinal, Optional[Ordinal]], ...]:
     return tuple(out)
 
 
-def format_ordinal_set(s: OrdinalSet, unicode: bool = False) -> str:
+def format_ordinal_set(s: OrdinalSet) -> str:
     if s.is_empty():
         return "∅"
     parts = []
     for lo, hi in s.intervals:
         if lo == hi:
-            parts.append(f"{{{format_ordinal(lo, unicode)}}}")
+            parts.append(f"{{{format_ordinal(lo)}}}")
         else:
-            parts.append(f"[{format_ordinal(lo, unicode)}, {format_ordinal(hi, unicode)}]")
+            parts.append(f"[{format_ordinal(lo)}, {format_ordinal(hi)}]")
     if s.tail_from is not None:
-        parts.append(f"({format_ordinal(s.tail_from, unicode)}, ∞)")
+        parts.append(f"({format_ordinal(s.tail_from)}, ∞)")
     return " ∪ ".join(parts)
 
 
@@ -606,36 +604,36 @@ def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
 # with a "# support" comment line.
 
 
-def format_interval(iv: ClopenInterval, unicode: bool = False) -> str:
-    hi = format_ordinal(iv.hi, unicode)
+def format_interval(iv: ClopenInterval) -> str:
+    hi = format_ordinal(iv.hi)
     if iv.start.is_zero:
         return f"[0, {hi}]"
-    return f"({format_ordinal(iv.lo, unicode)}, {hi}]"
+    return f"({format_ordinal(iv.lo)}, {hi}]"
 
 
 def parse_interval(text: str) -> ClopenInterval:
     s = text.strip()
     if not s or s[0] not in "[(" or not s.endswith("]"):
-        raise ParseError(f"malformed interval {text!r}")
+        raise ParseError(f"malformed interval {s!r}")
     inner = s[1:-1]
     if inner.count(",") != 1:
-        raise ParseError(f"malformed interval {text!r}")
+        raise ParseError(f"malformed interval {s!r}")
     left, right = inner.split(",")
     at = len(text) - len(text.lstrip()) + 1  # the column of inner, less one
     lo = _at(at, parse_ordinal, left)
     hi = _at(at + len(left) + 1, parse_ordinal, right)
     if s[0] == "[":
         if not lo.is_zero:
-            raise ParseError(f"closed interval must start at 0: {text!r}")
+            raise ParseError(f"closed interval must start at 0: {s!r}")
         return initial(hi)
     return span(lo, hi)
 
 
-def format_homeo(g: PwHomeo, unicode: bool = False) -> str:
-    lines = [_format_piece(p, unicode) for p in g.pieces]
+def format_homeo(g: PwHomeo) -> str:
+    lines = [_format_piece(p) for p in g.pieces]
     if not lines:
         lines.append("# identity")
-    lines.append(f"# support {format_ordinal(g.support, unicode)}")
+    lines.append(f"# support {format_ordinal(g.support)}")
     return "\n".join(lines) + "\n"
 
 

@@ -457,7 +457,7 @@ def parse_ordinal(text: str) -> Ordinal:
     return value
 
 
-def _format(key: tuple, w: str) -> str:
+def _format(key: tuple) -> str:
     if not key:
         return "0"
     parts = []
@@ -466,18 +466,18 @@ def _format(key: tuple, w: str) -> str:
             parts.append(str(c))
             continue
         if e == ONE._key:
-            base = w
+            base = "w"
         elif not e[0][0]:
-            base = f"{w}^{e[0][1]}"
+            base = f"w^{e[0][1]}"
         else:
-            base = f"{w}^({_format(e, w)})"
+            base = f"w^({_format(e)})"
         parts.append(base if c == 1 else f"{base}*{c}")
     return " + ".join(parts)
 
 
-def format_ordinal(x: Ordinal, unicode: bool = False) -> str:
+def format_ordinal(x: Ordinal) -> str:
     try:
-        return _format(x._key, "ω" if unicode else "w")
+        return _format(x._key)
     except ValueError:  # only int-to-str conversion raises it here
         raise ResourceError(f"coefficient longer than {sys.get_int_max_str_digits()}"
                             " digits") from None

@@ -230,11 +230,11 @@ def extend_to_permutation(h: PartialInjection) -> FinitePermutation:
 # "#" lines are comments in both.
 
 
-def format_constraints(cs: ConstraintSystem, unicode: bool = False) -> str:
+def format_constraints(cs: ConstraintSystem) -> str:
     lines = []
     for p, vals in cs.constraints:
-        inner = ", ".join(format_ordinal(v, unicode) for v in sorted(vals))
-        lines.append(f"{format_ordinal(p, unicode)} : {{ {inner} }}".replace("{  }", "{ }"))
+        inner = ", ".join(format_ordinal(v) for v in sorted(vals))
+        lines.append(f"{format_ordinal(p)} : {{ {inner} }}".replace("{  }", "{ }"))
     if not lines:
         lines.append("# empty system")
     return "\n".join(lines) + "\n"
@@ -260,8 +260,8 @@ def parse_constraints(text: str) -> ConstraintSystem:
                                             parse_ordinal, _value_set))
 
 
-def format_injection(h: PartialInjection, unicode: bool = False) -> str:
-    lines = [f"{format_ordinal(a, unicode)} -> {format_ordinal(b, unicode)}"
+def format_injection(h: PartialInjection) -> str:
+    lines = [f"{format_ordinal(a)} -> {format_ordinal(b)}"
              for a, b in h.pairs]
     if not lines:
         lines.append("# empty injection")
@@ -275,9 +275,9 @@ def parse_injection(text: str) -> PartialInjection:
     return h
 
 
-def format_permutation(perm: FinitePermutation, unicode: bool = False) -> str:
+def format_permutation(perm: FinitePermutation) -> str:
     if perm.is_identity:
         return "# identity\n"
-    lines = ["(" + " ".join(format_ordinal(x, unicode) for x in cycle) + ")"
+    lines = ["(" + " ".join(format_ordinal(x) for x in cycle) + ")"
              for cycle in perm.cycles]
     return "\n".join(lines) + "\n"

@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from operator import attrgetter
 
-from ordhomeo.homeo import (PwHomeo, compose, format_homeo, identity, interval_swap,
-                            order_type, span, swap_points)
+from ordhomeo.homeo import (PwHomeo, compose, identity, interval_swap, order_type, span,
+                            swap_points)
 from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, classify,
                                left_subtract, omega_pow, parse_ordinal, rank)
 
@@ -165,8 +165,8 @@ def check_canonical(g: PwHomeo) -> None:
     but the first point split off an infinite piece that starts at 0 on
     one side only, which is always split off; no trailing identity piece,
     and no identity tail in the last piece."""
-    def fail(why: str):
-        raise AssertionError(f"not canonical, {why}:\n{format_homeo(g)}")
+    def fail(why: str):  # the repr: an empty interval has no closed form to print
+        raise AssertionError(f"not canonical, {why}:\n{g!r}")
 
     ps = g.pieces
     if not ps:

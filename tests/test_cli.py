@@ -69,6 +69,19 @@ def test_golden(label, command, exit_code, expected, monkeypatch, capsys):
     assert code == exit_code
 
 
+@pytest.mark.parametrize("label,command,exit_code,expected",
+                         CASES, ids=[c[0] for c in CASES])
+def test_golden_under_unicode(label, command, exit_code, expected, monkeypatch, capsys):
+    # --unicode changes stdout only: each "w" there becomes "ω", except in
+    # the "# witness" header that `sieve chain` prints itself
+    monkeypatch.chdir(DATA)
+    plain = run_cli(command)[0], capsys.readouterr().err
+    code, out = run_cli(["--unicode", *command])
+    assert (code, capsys.readouterr().err) == plain
+    assert out == "".join(line if line == "# witness\n" else line.replace("w", "ω")
+                          for line in expected.splitlines(keepends=True))
+
+
 def test_corpus_is_large_enough():
     assert len(CASES) >= 25
 
@@ -198,6 +211,45 @@ def test_a_bad_pair_reports_its_column_in_the_argument(capsys):
     # the second "^" of "3 -> w^^" is column 8 of the argument
     assert run_cli(["dyn", "transitive", "3 -> w^^"]) == (2, "")
     assert capsys.readouterr().err == "parse error: expected 'w', a number, or '(' (position 8)\n"
+
+
+COMMENTS_ONLY = "# no record\n# at all\n"
+
+
+@pytest.mark.parametrize("argv,text,exit_code,out,err", [
+    pytest.param(["homeo", "check", "FILE"], "[1, w] -> [1, w]\n", 2, "",
+                 "parse error: line 1: closed interval must start at 0: '[1, w]'\n",
+                 id="closed-interval-not-at-0"),
+    pytest.param(["homeo", "check", "FILE"], "[0, w -> [0, w]\n", 2, "",
+                 "parse error: line 1: malformed interval '[0, w'\n", id="unclosed-interval"),
+    pytest.param(["homeo", "check", "FILE"], "(0, 1, 2] -> (0, 1, 2]\n", 2, "",
+                 "parse error: line 1: malformed interval '(0, 1, 2]'\n", id="three-ends"),
+    # the second piece that starts at 0 starts below the end of the first
+    pytest.param(["homeo", "check", "FILE"], "[0, 0] -> [0, 0]\n[0, 1] -> [0, 1]\n", 1, "",
+                 "error: overlapping source interval in piece: [0, 1] -> [0, 1]"
+                 " (expected start 0)\n", id="two-pieces-at-0"),
+    pytest.param(["dyn", "baire-member", str(DATA / "swap.hom"), "0"], None, 1, "",
+                 "error: expected a positive integer\n", id="baire-member-at-0"),
+    pytest.param(["dyn", "transitive", "3"], None, 2, "",
+                 "parse error: expected 'x -> y', got '3'\n", id="pair-without-arrow"),
+    pytest.param(["sieve", "extend", "FILE"], "1 -> 5\n2 -> 5\n", 1, "",
+                 "error: duplicate target in partial injection\n", id="injection-twice-to-5"),
+    pytest.param(["sieve", "normalize", "FILE"], COMMENTS_ONLY, 0, "# empty system\n", "",
+                 id="normalize-no-constraint"),
+    pytest.param(["--unicode", "sieve", "normalize", "FILE"], COMMENTS_ONLY, 0,
+                 "# empty system\n", "", id="normalize-no-constraint-unicode"),
+    pytest.param(["sieve", "match", "FILE"], COMMENTS_ONLY, 0, "# empty injection\n", "",
+                 id="match-no-constraint"),
+    pytest.param(["--unicode", "sieve", "match", "FILE"], COMMENTS_ONLY, 0,
+                 "# empty injection\n", "", id="match-no-constraint-unicode"),
+])
+def test_edge_input_output(argv, text, exit_code, out, err, tmp_path, capsys):
+    # text, if any, is the file that stands for FILE in argv
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli([str(path) if word == "FILE" else word for word in argv]) == (exit_code, out)
+    assert capsys.readouterr().err == err
 
 
 def test_resource_error_exit_code():

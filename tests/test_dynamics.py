@@ -95,6 +95,8 @@ class TestMakeTransitive:
     def test_duplicates_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             make_transitive(TransitivityProblem(((ONE, Ordinal(2)), (ONE, Ordinal(3)))))
+        with pytest.raises(DomainError, match="duplicate target points"):
+            make_transitive(TransitivityProblem(((ONE, Ordinal(3)), (Ordinal(2), Ordinal(3)))))
 
     def test_frozen_collision_rejected(self):
         with pytest.raises(DomainError, match="frozen"):
@@ -236,7 +238,7 @@ class TestBaire:
         assert fixed_points(g).contains(Ordinal(41))
 
     def test_bad_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
             in_baire_T(identity(), 0)
 
     def test_witness_degenerate(self):
@@ -273,6 +275,10 @@ class TestDiscontinuity:
     def test_transposition(self):
         g1 = discontinuity_sequence(1)
         assert g1 == swap_points(ONE, OMEGA + 1)
+
+    def test_bad_n(self):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            discontinuity_sequence(0)
 
     def test_escape_row(self):
         for n in range(1, 51):

@@ -317,6 +317,7 @@ class TestCanonicalCheck:
                     (span(ONE, OMEGA), span(ZERO, OMEGA)),
                     (span(OMEGA, o("w*2 + 1")), span(OMEGA + 1, o("w*2 + 1")))),
          "identity tail past w*2 in the last piece"),
+        (hand_built((ClopenInterval(ZERO, ZERO),) * 2), "empty source [0, 0)"),
     ])
     def test_rejects(self, g, message):
         with pytest.raises(AssertionError, match=re.escape(message)):
@@ -602,6 +603,10 @@ class TestFixedPoints:
 class TestFixedPointAbove:
     def test_worked_example(self):
         assert find_fixed_point_above([swap_0w()], ONE) == o("w*3")
+
+    def test_needs_a_map(self):
+        with pytest.raises(DomainError, match="need at least one map"):
+            find_fixed_point_above([], ONE)
 
     def test_identity(self):
         assert find_fixed_point_above([identity()], Ordinal(5)) == OMEGA

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -90,9 +91,22 @@ class TestParseFormat:
         assert parse_ordinal("(" * 32 + "1" + ")" * 32) == ONE
         with pytest.raises(ResourceError):
             parse_ordinal("(" * 33 + "1" + ")" * 33)
+        # 31 carets are within the parser's count of 32, so this is
+        # omega_pow's cap on the value's tower height
+        with pytest.raises(ResourceError, match="exponent tower deeper than 32"):
+            parse_ordinal("w^" * 31 + "w")
 
-    def test_unicode_display(self):
-        assert format_ordinal(o("w*2 + 1"), unicode=True) == "ω*2 + 1"
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Ordinal("3"), TypeError, "cannot build an ordinal from str"),
+    (lambda: Ordinal(-1), DomainError, "ordinals are non-negative"),
+    (lambda: int(OMEGA), DomainError, "w is infinite"),
+    (lambda: enumerate_level(ONE, o("w*2"), OMEGA, 3), DomainError,
+     "enumerate_level: empty range ]w*2, w]"),
+], ids=["Ordinal-of-str", "Ordinal-of-negative", "int-of-w", "enumerate-level-empty-range"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestComparison:
