@@ -23,13 +23,15 @@ a + s = c + s  iff  s >= w^(diff_exponent(a, c) + 1).
 
 `compose` of maps of n and m pieces costs O((n+m) log(n+m)) comparisons,
 `inverse` of n pieces one sort, O(n log n), with no canonical pass.
-`apply`, `sup_image` and `restrict_to_initial` find a point's piece
-through one linear scan, `_locate`, that stops there.  Every fixed-point
-and invariant-set query reads one walk instead, `_common_runs`: each
-map's runs (`_runs`, the points of each piece that meet one closed-form
+`compose`, `build` and `_canonical` compare and subtract CNF keys, not
+`Ordinal`s, and make one `Ordinal` per new endpoint.  `apply`,
+`sup_image` and `restrict_to_initial` find a point's piece through one
+linear scan, `_locate`, that stops there.  Every fixed-point and
+invariant-set query reads one walk instead, `_common_runs`: each map's
+runs (`_runs`, the points of each piece that meet one closed-form
 condition; those of `inverse(g)` where the query needs g^-1) read
 lazily, in order, as half-open runs [lo, end) like every interval, and
-met with the other maps' runs.
+met with the other maps' runs.  The lookup and the walk compare `Ordinal`s.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
+    _add,
     _at,
+    _left_sub,
     _make,
     _pred,
     _Record,
@@ -86,7 +90,15 @@ class ClopenInterval(_Record):
         return self.start <= x < self.end
 
     def __reduce__(self):  # through span's check for an empty interval
-        return (span, (self.lo, self.hi)) if self.start else (initial, (self.hi,))
+        hi = _closed_hi(self)
+        return (span, (self.lo, hi)) if self.start else (initial, (hi,))
+
+
+def _closed_hi(iv: ClopenInterval) -> Ordinal:
+    """iv.hi, which an interval ending at 0 lacks: DomainError for it."""
+    if not iv.end:
+        raise DomainError(f"empty interval [{format_ordinal(iv.start)}, 0)")
+    return iv.hi
 
 
 def initial(hi: Ordinal) -> ClopenInterval:
@@ -102,6 +114,12 @@ def span(lo: Ordinal, hi: Ordinal) -> ClopenInterval:
 def order_type(iv: ClopenInterval) -> Ordinal:
     """-start + end, the order type of [start, end)."""
     return left_subtract(iv.start, iv.end)
+
+
+def _order_key(iv: ClopenInterval) -> tuple:
+    """The key of order_type(iv), which raises if start > end."""
+    s, e = iv.start._key, iv.end._key
+    return _left_sub(s, e) if s <= e else order_type(iv)._key
 
 
 def enum_index(iv: ClopenInterval, i: Ordinal) -> Ordinal:
@@ -138,15 +156,18 @@ class Piece(_Record):
 
 def _piece_map(src: ClopenInterval, tgt: ClopenInterval, x: Ordinal) -> Ordinal:
     """x's image, for x in src or x = src.end, which goes to tgt.end."""
-    return tgt.start + left_subtract(src.start, x)
+    return _make(_add(tgt.start._key, _left_sub(src.start._key, x._key)))
 
 
 def _map_sub(src: ClopenInterval, tgt: ClopenInterval,
              sub: ClopenInterval) -> ClopenInterval:
-    """Image of a subinterval sub of src under the piece isomorphism."""
-    if sub == src:
+    """Image of a subinterval sub of src under the piece isomorphism: an
+    end sub shares with src goes to tgt's, any other is mapped."""
+    same_start, same_end = sub.start._key == src.start._key, sub.end._key == src.end._key
+    if same_start and same_end:
         return tgt
-    return ClopenInterval(_piece_map(src, tgt, sub.start), _piece_map(src, tgt, sub.end))
+    return ClopenInterval(tgt.start if same_start else _piece_map(src, tgt, sub.start),
+                          tgt.end if same_end else _piece_map(src, tgt, sub.end))
 
 
 def _format_piece(p: Piece) -> str:
@@ -191,10 +212,11 @@ def identity() -> PwHomeo:
     return IDENTITY
 
 
-# Sort keys: the CNF key of a side's start, which sorts as the ordinal
+# Sort keys: the CNF key of a start, which sorts as the ordinal
 # does, compared in C.  On a tiling, the order of starts is that of ends.
 _by_source = attrgetter("source.start._key")
 _by_target = attrgetter("target.start._key")
+_by_start = attrgetter("start._key")
 
 
 def _check_tiling(pieces: Sequence[Piece], side: str) -> Ordinal:
@@ -206,8 +228,8 @@ def _check_tiling(pieces: Sequence[Piece], side: str) -> Ordinal:
     end = first.end
     for p in pieces[1:]:
         iv = getattr(p, side)
-        if iv.start != end:
-            kind = "overlapping" if iv.start < end else "gap before"
+        if iv.start._key != end._key:
+            kind = "overlapping" if iv.start._key < end._key else "gap before"
             raise ValidationError(f"{kind} {side} interval in piece: {_format_piece(p)}"
                                   f" (expected start {format_ordinal(_pred(end))})")
         end = iv.end
@@ -218,10 +240,10 @@ def build(pieces: Iterable[Piece | tuple[ClopenInterval, ClopenInterval]]) -> Pw
     """Validate a piece list and return the canonical map it denotes."""
     ps = [p if isinstance(p, Piece) else Piece(*p) for p in pieces]
     for p in ps:
-        a, b = order_type(p.source), order_type(p.target)
+        a, b = _order_key(p.source), _order_key(p.target)
         if a != b:
-            raise ValidationError(f"order type mismatch ({format_ordinal(a)} vs "
-                                  f"{format_ordinal(b)}) in piece: {_format_piece(p)}")
+            raise ValidationError(f"order type mismatch ({format_ordinal(_make(a))} vs "
+                                  f"{format_ordinal(_make(b))}) in piece: {_format_piece(p)}")
         if not a or p.source.end._key[-1][0] or p.target.end._key[-1][0]:  # starts: by the tiling
             raise ValidationError(f"empty interval or limit end in piece: {p!r}")
     if not ps:
@@ -230,7 +252,7 @@ def build(pieces: Iterable[Piece | tuple[ClopenInterval, ClopenInterval]]) -> Pw
     ps.sort(key=_by_source)
     end_src = _check_tiling(ps, "source")
     end_tgt = _check_tiling(by_target, "target")
-    if end_src != end_tgt:
+    if end_src._key != end_tgt._key:
         raise ValidationError(f"sources end at {format_ordinal(_pred(end_src))}"
                               f" but targets end at {format_ordinal(_pred(end_tgt))}")
     return _canonical(ps)
@@ -246,22 +268,22 @@ def _canonical(pieces: Sequence[Piece]) -> PwHomeo:
     runs = [ps[0]]
     for q in ps[1:]:
         p = runs[-1]
-        if q.target.start == p.target.end:
+        if q.target.start._key == p.target.end._key:
             runs[-1] = Piece(ClopenInterval(p.source.start, q.source.end),
                              ClopenInterval(p.target.start, q.target.end))
         else:
             runs.append(q)
     p = runs[-1]
     s, c, e = p.source.start, p.target.start, p.source.end
-    if p.target.end == e:
-        if s == c:
+    if p.target.end._key == e._key:
+        if s._key == c._key:
             runs.pop()
-        elif (cut := s + _fix_threshold(p.source, p.target) + ONE) < e:
+        elif (cut := s + _fix_threshold(p.source, p.target) + ONE)._key < e._key:
             runs[-1] = Piece(ClopenInterval(s, cut), ClopenInterval(c, cut))
     out = []
     for p in runs:
         a, c = p.source.start, p.target.start
-        if a.is_zero != c.is_zero and not order_type(p.source).is_finite:
+        if a.is_zero != c.is_zero and _order_key(p.source)[0][0]:  # an infinite order type
             a1, c1 = a + ONE, c + ONE
             out += [Piece(ClopenInterval(a, a1), ClopenInterval(c, c1)),
                     Piece(ClopenInterval(a1, p.source.end), ClopenInterval(c1, p.target.end))]
@@ -300,7 +322,7 @@ def apply(g: PwHomeo, x: Ordinal) -> Ordinal:
 def _extended_pieces(g: PwHomeo, end: Ordinal) -> list[Piece]:
     """g's pieces (g not the identity) padded to tile [0, end)."""
     last = g.pieces[-1].source.end
-    if last == end:
+    if last._key == end._key:
         return list(g.pieces)
     iv = ClopenInterval(last, end)
     return [*g.pieces, Piece(iv, iv)]
@@ -313,20 +335,21 @@ def compose(g: PwHomeo, h: PwHomeo) -> PwHomeo:
         return h
     if h.is_identity:
         return g
-    end = max(g.pieces[-1].source.end, h.pieces[-1].source.end)
+    end = max(g.pieces[-1].source.end, h.pieces[-1].source.end, key=attrgetter("_key"))
     hp = sorted(_extended_pieces(h, end), key=_by_target)
     gp = _extended_pieces(g, end)
     out = []
     i = j = 0
     while i < len(hp) and j < len(gp):
         p, q = hp[i], gp[j]
-        overlap = ClopenInterval(max(p.target.start, q.source.start),
-                                 min(p.target.end, q.source.end))
-        out.append(Piece(_map_sub(p.target, p.source, overlap),
-                         _map_sub(q.source, q.target, overlap)))
-        if p.target.end <= q.source.end:
+        pt, qs = p.target, q.source
+        pe, qe = pt.end._key, qs.end._key
+        start = pt.start if pt.start._key >= qs.start._key else qs.start
+        overlap = ClopenInterval(start, pt.end if pe <= qe else qs.end)
+        out.append(Piece(_map_sub(pt, p.source, overlap), _map_sub(qs, q.target, overlap)))
+        if pe <= qe:
             i += 1
-        if q.source.end <= p.target.end:
+        if qe <= pe:
             j += 1
     return _canonical(out)
 
@@ -361,13 +384,13 @@ def interval_swap(i: ClopenInterval, j: ClopenInterval) -> PwHomeo:
     if interval_intersect(i, j) is not None:
         raise DomainError(
             f"intervals overlap: {format_interval(i)} and {format_interval(j)}")
-    if order_type(i) != order_type(j):
+    if _order_key(i) != _order_key(j):
         raise DomainError(
             f"order type mismatch: {format_interval(i)} vs {format_interval(j)}")
-    lower, upper = sorted([i, j], key=attrgetter("start"))
+    lower, upper = sorted([i, j], key=_by_start)
     pieces = [Piece(i, j), Piece(j, i)]
     for start, end in ((ZERO, lower.start), (lower.end, upper.start)):
-        if start < end:
+        if start._key < end._key:
             gap = ClopenInterval(start, end)
             pieces.append(Piece(gap, gap))
     return build(pieces)
@@ -605,7 +628,7 @@ def restrict_to_initial(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
 
 
 def format_interval(iv: ClopenInterval) -> str:
-    hi = format_ordinal(iv.hi)
+    hi = format_ordinal(_closed_hi(iv))
     if iv.start.is_zero:
         return f"[0, {hi}]"
     return f"({format_ordinal(iv.lo)}, {hi}]"

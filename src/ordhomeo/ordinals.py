@@ -206,13 +206,18 @@ def compare(a: Ordinal, b: Ordinal) -> str:
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique xi with a + xi = b, defined for a <= b."""
-    at, bt = a._key, b._key
-    if at > bt:
+    if a._key > b._key:
         raise DomainError(f"left_subtract: {a} > {b}")
-    i = _common_prefix(at, bt)
-    if i < len(at) and at[i][0] == bt[i][0]:
-        return _make(((bt[i][0], bt[i][1] - at[i][1]),) + bt[i + 1:])
-    return _make(bt[i:])
+    return _make(_left_sub(a._key, b._key))
+
+
+def _left_sub(a: tuple, b: tuple) -> tuple:
+    """Key of -a + b, for keys a <= b: b past the terms it shares with a,
+    less a's coefficient where the exponents meet."""
+    i = _common_prefix(a, b)
+    if i < len(a) and a[i][0] == b[i][0]:
+        return ((b[i][0], b[i][1] - a[i][1]),) + b[i + 1:]
+    return b[i:]
 
 
 def _depth(key: tuple) -> int:

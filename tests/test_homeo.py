@@ -38,7 +38,7 @@ from ordhomeo.homeo import (
     sup_image,
     swap_points,
 )
-from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, absorb_threshold, classify,
+from ordhomeo.ordinals import (OMEGA, ONE, ZERO, Ordinal, _pred, absorb_threshold, classify,
                                diff_exponent, format_ordinal, left_subtract, omega_pow, rank)
 
 from helpers import GRID, check_canonical, check_set_runs, o, random_homeo, random_move
@@ -198,7 +198,7 @@ def split_refinement(g: PwHomeo, rng: random.Random) -> list[Piece]:
                        else span(p.source.lo, cut))
             else:
                 sub = span(prev, cut)
-            pieces.append(Piece(sub, homeo._map_sub(p.source, p.target, sub)))
+            pieces.append(Piece(sub, map_sub_ref(p.source, p.target, sub)))
             prev = cut
     return pieces
 
@@ -719,6 +719,208 @@ class TestTextFormat:
 
 
 # ---------------------------------------------------------------------------
+# the write path on CNF keys against the bodies it replaced, which
+# compared and added through the Ordinal operators, kept here as references
+
+
+def piece_map_ref(src: ClopenInterval, tgt: ClopenInterval, x: Ordinal) -> Ordinal:
+    return tgt.start + left_subtract(src.start, x)
+
+
+def map_sub_ref(src: ClopenInterval, tgt: ClopenInterval, sub: ClopenInterval) -> ClopenInterval:
+    if sub == src:
+        return tgt
+    return ClopenInterval(piece_map_ref(src, tgt, sub.start), piece_map_ref(src, tgt, sub.end))
+
+
+def canonical_pass_ref(pieces) -> PwHomeo:
+    """Merges every run of target-contiguous pieces, cuts the identity
+    suffix off the last run and splits off the first point of an infinite
+    piece starting at 0 on one side only."""
+    ps = sorted(pieces, key=lambda p: p.source.start)
+    runs = [ps[0]]
+    for q in ps[1:]:
+        p = runs[-1]
+        if q.target.start == p.target.end:
+            runs[-1] = Piece(ClopenInterval(p.source.start, q.source.end),
+                             ClopenInterval(p.target.start, q.target.end))
+        else:
+            runs.append(q)
+    p = runs[-1]
+    s, c, e = p.source.start, p.target.start, p.source.end
+    if p.target.end == e:
+        if s == c:
+            runs.pop()
+        elif (cut := s + homeo._fix_threshold(p.source, p.target) + ONE) < e:
+            runs[-1] = Piece(ClopenInterval(s, cut), ClopenInterval(c, cut))
+    out = []
+    for p in runs:
+        a, c = p.source.start, p.target.start
+        if a.is_zero != c.is_zero and not order_type(p.source).is_finite:
+            a1, c1 = a + ONE, c + ONE
+            out += [Piece(ClopenInterval(a, a1), ClopenInterval(c, c1)),
+                    Piece(ClopenInterval(a1, p.source.end), ClopenInterval(c1, p.target.end))]
+        else:
+            out.append(p)
+    return PwHomeo(tuple(out))
+
+
+def check_tiling_ref(pieces, side: str) -> Ordinal:
+    first = getattr(pieces[0], side)
+    if not first.start.is_zero:
+        raise ValidationError(f"{side}s do not cover 0 (no initial interval); first piece: "
+                              f"{homeo._format_piece(pieces[0])}")
+    end = first.end
+    for p in pieces[1:]:
+        iv = getattr(p, side)
+        if iv.start != end:
+            kind = "overlapping" if iv.start < end else "gap before"
+            raise ValidationError(f"{kind} {side} interval in piece: {homeo._format_piece(p)}"
+                                  f" (expected start {format_ordinal(_pred(end))})")
+        end = iv.end
+    return end
+
+
+def build_ref(pieces) -> PwHomeo:
+    ps = [p if isinstance(p, Piece) else Piece(*p) for p in pieces]
+    for p in ps:
+        a, b = order_type(p.source), order_type(p.target)
+        if a != b:
+            raise ValidationError(f"order type mismatch ({format_ordinal(a)} vs "
+                                  f"{format_ordinal(b)}) in piece: {homeo._format_piece(p)}")
+        if not a or rank(p.source.end) > ZERO or rank(p.target.end) > ZERO:
+            raise ValidationError(f"empty interval or limit end in piece: {p!r}")
+    if not ps:
+        return IDENTITY
+    by_target = sorted(ps, key=lambda p: p.target.start)
+    ps.sort(key=lambda p: p.source.start)
+    end_src = check_tiling_ref(ps, "source")
+    end_tgt = check_tiling_ref(by_target, "target")
+    if end_src != end_tgt:
+        raise ValidationError(f"sources end at {format_ordinal(_pred(end_src))}"
+                              f" but targets end at {format_ordinal(_pred(end_tgt))}")
+    return canonical_pass_ref(ps)
+
+
+def shuffled(pieces, rng: random.Random) -> list:
+    ps = list(pieces)
+    rng.shuffle(ps)
+    return ps
+
+
+def built_or_error(build_fn, pieces):
+    """The map's pieces, or the error's type and message."""
+    try:
+        return build_fn(pieces).pieces
+    except (DomainError, ValidationError) as err:
+        return type(err), str(err)
+
+
+def broken_piece_lists(g: PwHomeo, rng: random.Random):
+    """g's pieces with one fault each of the kinds build reports: a piece
+    dropped, doubled, stretched on one side, or reversed; the target at 0
+    moved past the support; a piece appended past the support onto a taken
+    target or with a gap; an empty piece; a piece with limit ends."""
+    ps = list(g.pieces)
+    k = rng.randrange(len(ps))
+    p, end = ps[k], ps[-1].source.end
+    t = order_type(p.target)
+    yield ps[:k] + ps[k + 1:]
+    z = next(q for q in ps if q.target.start.is_zero)
+    moved = Piece(z.source, ClopenInterval(end, end + order_type(z.source)))
+    yield [moved if q is z else q for q in ps]
+    yield ps + [p]
+    yield ps[:k] + [Piece(p.source, ClopenInterval(p.target.start, p.target.end + ONE))] + ps[k + 1:]
+    yield ps + [Piece(ClopenInterval(p.source.end, p.source.start), p.target)]
+    yield ps + [Piece(ClopenInterval(end, end + t), p.target)]
+    yield ps + [Piece(ClopenInterval(end, end + ONE), ClopenInterval(end + ONE, end + 2))]
+    x = rng.choice([ZERO, p.source.start, end])
+    yield ps + [Piece(ClopenInterval(x, x), ClopenInterval(x, x))]
+    yield ps + [Piece(ClopenInterval(ZERO, OMEGA), ClopenInterval(ZERO, OMEGA))]
+
+
+BUILD_ERRORS = ["order type mismatch", "empty interval or limit end", "sources do not cover 0",
+                "targets do not cover 0", "overlapping source", "overlapping target",
+                "gap before source", "gap before target", "sources end at", "left_subtract"]
+
+
+class TestWritePathOnKeys:
+    def test_piece_map_and_map_sub_match_reference(self):
+        rng = random.Random(42)
+        for g in shape_maps():
+            for p in g.pieces:
+                src, tgt = p.source, p.target
+                cuts = sorted({src.start, src.end} | {x + ONE for x in rng.sample(GRID, 12)
+                                                      if src.contains(x)})
+                for x in cuts:
+                    assert homeo._piece_map(src, tgt, x) == piece_map_ref(src, tgt, x)
+                for a, b in [*zip(cuts, cuts[1:]), (cuts[0], cuts[-2]), (cuts[1], cuts[-1])]:
+                    if a < b:
+                        sub = ClopenInterval(a, b)
+                        assert homeo._map_sub(src, tgt, sub) == map_sub_ref(src, tgt, sub)
+
+    def test_compose_matches_reference_on_shape_maps(self):
+        rng = random.Random(43)
+        maps = shape_maps()
+        for _ in range(150):
+            g, h = rng.choice(maps), rng.choice(maps)
+            assert compose(g, h).pieces == compose_ref(g, h).pieces
+
+    def test_canonical_and_build_match_reference_on_shuffled_pieces(self):
+        rng = random.Random(44)
+        maps = shape_maps()
+        for g in maps + [compose(rng.choice(maps), rng.choice(maps)) for _ in range(60)]:
+            for ps in (shuffled(g.pieces, rng), shuffled(split_refinement(g, rng), rng)):
+                assert build(ps).pieces == build_ref(ps).pieces == g.pieces
+                if ps:
+                    assert homeo._canonical(ps).pieces == canonical_pass_ref(ps).pieces
+
+    def test_build_errors_match_reference_byte_for_byte(self):
+        rng = random.Random(45)
+        w = OMEGA
+        noncommuting = [(initial(ZERO), span(w, w + 1)), (span(ZERO, ONE), initial(ZERO)),
+                        (span(ONE, w), span(ZERO, w))]  # 1 + 1 + w = w, 1 + w + 1 = w + 1
+        lists = [[Piece(*p) for p in noncommuting]]
+        lists += [ps for g in shape_maps() if not g.is_identity
+                  for ps in broken_piece_lists(g, rng)]
+        seen = set()
+        for ps in lists:
+            ps = shuffled(ps, rng)
+            got = built_or_error(build, ps)
+            assert got == built_or_error(build_ref, ps)
+            if isinstance(got[0], type):
+                seen |= {kind for kind in BUILD_ERRORS if got[1].startswith(kind)}
+        assert seen == set(BUILD_ERRORS)
+
+
+COMPARISONS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_compose_and_build_compare_keys_not_ordinals(monkeypatch):
+    # the bodies these replaced made 800-2700 Ordinal comparisons per call
+    # on these maps; the write path compares CNF keys instead
+    rng = random.Random(46)
+    pairs = [(disjoint_swaps(rng, n, OMEGA), disjoint_swaps(rng, n, ONE)) for n in (16, 64, 256)]
+    pairs += large_map_pairs(rng)
+    inputs = [(g, h, shuffled(compose(g, h).pieces, rng)) for g, h in pairs]
+    # tests/conftest.py checks every map _canonical returns, comparing Ordinals
+    monkeypatch.setattr(homeo, "_canonical", homeo._canonical.__wrapped__)
+    calls = []
+    for name in COMPARISONS:
+        def counting(self, other, dunder=getattr(Ordinal, name)):
+            calls.append(dunder)
+            return dunder(self, other)
+        monkeypatch.setattr(Ordinal, name, counting)
+    for g, h, pieces in inputs:
+        calls.clear()
+        compose(g, h)
+        assert len(calls) <= 2, f"compose of {len(g.pieces)} and {len(h.pieces)} pieces"
+        calls.clear()
+        build(pieces)
+        assert len(calls) <= 2, f"build of {len(pieces)} pieces"
+
+
+# ---------------------------------------------------------------------------
 # the piece algebra against the quadratic bodies it replaced, kept here
 # as references
 
@@ -747,10 +949,10 @@ def compose_ref(g: PwHomeo, h: PwHomeo) -> PwHomeo:
             overlap = homeo.interval_intersect(p.target, q.source)
             if overlap is None:
                 continue
-            src = homeo._map_sub(p.target, p.source, overlap)
-            tgt = homeo._map_sub(q.source, q.target, overlap)
+            src = map_sub_ref(p.target, p.source, overlap)
+            tgt = map_sub_ref(q.source, q.target, overlap)
             out.append(Piece(src, tgt))
-    return homeo._canonical(out)
+    return canonical_pass_ref(out)
 
 
 def intersect_ref(s: OrdinalSet, t: OrdinalSet) -> OrdinalSet:
@@ -877,7 +1079,7 @@ def piece_containing_ref(g: PwHomeo, x: Ordinal):
 
 def apply_ref(g: PwHomeo, x: Ordinal) -> Ordinal:
     p = piece_containing_ref(g, x)
-    return x if p is None else homeo._piece_map(p.source, p.target, x)
+    return x if p is None else piece_map_ref(p.source, p.target, x)
 
 
 def sup_image_ref(g: PwHomeo, alpha: Ordinal) -> Ordinal:
@@ -886,7 +1088,7 @@ def sup_image_ref(g: PwHomeo, alpha: Ordinal) -> Ordinal:
         if p.source.hi <= alpha:
             cand = p.target.hi
         elif p.source.contains(alpha):
-            cand = homeo._piece_map(p.source, p.target, alpha)
+            cand = piece_map_ref(p.source, p.target, alpha)
         else:
             continue
         best = max(best, cand)
@@ -904,7 +1106,7 @@ def restrict_to_initial_ref(g: PwHomeo, alpha: Ordinal) -> PwHomeo:
             kept.append(p)
         elif p.source.contains(alpha):
             sub = initial(alpha) if p.source.lo is None else span(p.source.lo, alpha)
-            kept.append(Piece(sub, homeo._map_sub(p.source, p.target, sub)))
+            kept.append(Piece(sub, map_sub_ref(p.source, p.target, sub)))
     return build(kept)
 
 
@@ -1090,7 +1292,7 @@ class TestOneIntervalShape:
 def inverse_ref(g: PwHomeo) -> PwHomeo:
     if g.is_identity:
         return IDENTITY
-    return homeo._canonical([Piece(p.target, p.source) for p in g.pieces])
+    return canonical_pass_ref([Piece(p.target, p.source) for p in g.pieces])
 
 
 class TestInverseIsTheSwap:

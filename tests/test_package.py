@@ -15,8 +15,8 @@ import pytest
 import ordhomeo
 from ordhomeo.dynamics import TransitivityProblem
 from ordhomeo.errors import DomainError, ParseError, ResourceError, ValidationError
-from ordhomeo.homeo import (ClopenInterval, OrdinalSet, Piece, PwHomeo, initial, parse_homeo,
-                           span)
+from ordhomeo.homeo import (ClopenInterval, OrdinalSet, Piece, PwHomeo, format_interval, initial,
+                           parse_homeo, span)
 from ordhomeo.ordinals import OMEGA, ONE, ZERO, Ordinal, PointClass, _set, parse_ordinal
 from ordhomeo.sieve import (ConstraintSystem, FinitePermutation, PartialInjection,
                             parse_constraints, parse_injection)
@@ -211,6 +211,15 @@ def test_unpickling_an_empty_interval_is_refused():
     assert empty.__reduce__() == (span, (OMEGA * 2, OMEGA))
     with pytest.raises(DomainError):
         pickle.loads(pickle.dumps(empty))
+
+
+@pytest.mark.parametrize("read", [copy.copy, pickle.dumps, format_interval],
+                         ids=["copy", "pickle", "format"])
+def test_the_empty_interval_at_0_is_refused_by_name(read):
+    # [0, 0) has no last point, hi, to print or to rebuild it from
+    with pytest.raises(DomainError) as err:
+        read(ClopenInterval(ZERO, ZERO))
+    assert str(err.value) == "empty interval [0, 0)"
 
 
 def test_unpickling_a_set_goes_through_from_parts():
